@@ -159,6 +159,8 @@ class harris_list {
       lnode* t = head_;
       // Guard-lifetime schemes only (see static_assert): protect() is the
       // zero-cost wrapper, so handles are unwrapped immediately.
+      // Marked-edge safety: t_next stays raw and is only dereferenced
+      // through untag() below.
       lnode* t_next = g.protect(head_->next).get();
       lnode* left_next = t_next;
       left = head_;
@@ -170,6 +172,7 @@ class harris_list {
         }
         t = untag(t_next);
         if (t == tail_) break;
+        // Tagged t_next (t is marked) is checked, then untagged above.
         t_next = g.protect(t->next).get();
         if (has_tag(t_next, 1) || t->key < key) continue;
         break;

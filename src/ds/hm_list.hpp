@@ -160,7 +160,7 @@ class hm_list {
   retry:
     w.release();
     std::atomic<lnode*>* prev = &head_;
-    w.curr_h = g.protect(*prev);
+    w.curr_h = g.protect(*prev);  // head_ is no node's next: never marked
     lnode* curr = w.curr_h.get();
     for (;;) {
       if (curr == nullptr) {
@@ -183,6 +183,9 @@ class hm_list {
         g.retire(curr);
         w.curr_h = g.protect(*prev);  // transient third protection
         curr = w.curr_h.get();
+        // The prev-node may have been marked since the CAS: *prev is then
+        // tagged and must not be dereferenced.
+        if (has_tag(curr, 1)) goto retry;
         continue;
       }
       // seq_cst: validating re-read after the hazard publication in

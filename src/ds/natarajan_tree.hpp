@@ -218,6 +218,8 @@ class natarajan_tree {
     r.ancestor = root_;
     r.successor = s_;
     r.parent = s_;
+    // Marked-edge safety: the raw value is kept for its tag bits and only
+    // its untag() is dereferenced.
     r.leaf_h = g.protect(s_->left);
     tnode* parent_field = r.leaf_h.get();
     if constexpr (needs_clean_edges()) {
@@ -234,7 +236,7 @@ class natarajan_tree {
     for (;;) {
       std::atomic<tnode*>& edge =
           key < r.leaf->key ? r.leaf->left : r.leaf->right;
-      handle cur_h = g.protect(edge);
+      handle cur_h = g.protect(edge);  // flag/tag bits stay in cur_raw only
       tnode* cur_raw = cur_h.get();
       tnode* cur = untag(cur_raw);
       if (cur == nullptr) {

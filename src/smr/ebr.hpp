@@ -65,11 +65,11 @@ class ebr_domain {
       sharded_ =
           std::make_unique<core::sharded_retire<node>>(cfg_.retire_shards);
       shard_threshold_ = std::max<std::size_t>(64, 2 * cfg_.max_threads);
-      sharded_->attach(&stats_->events);
+      sharded_->attach(&stats_.events);
     }
-    epoch_.attach(&stats_->events);
-    recs_.pool()->attach(&stats_->events);
-    for (rec& r : recs_) r.limbo.attach(&stats_->events);
+    epoch_.attach(&stats_.events);
+    recs_.pool()->attach(&stats_.events);
+    for (rec& r : recs_) r.limbo.attach(&stats_.events);
   }
 
   explicit ebr_domain(unsigned max_threads)
@@ -80,9 +80,9 @@ class ebr_domain {
   ebr_domain(const ebr_domain&) = delete;
   ebr_domain& operator=(const ebr_domain&) = delete;
 
-  void on_alloc(node*) { stats_->on_alloc(); }
-  stats& counters() { return *stats_; }
-  const stats& counters() const { return *stats_; }
+  void on_alloc(node*) { stats_.on_alloc(); }
+  stats& counters() { return stats_; }
+  const stats& counters() const { return stats_; }
 
   class guard {
    public:
@@ -207,7 +207,7 @@ class ebr_domain {
   };
 
   void retire(unsigned tid, node* n) {
-    stats_->stamp_retire(n);
+    stats_.stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     rec& r = recs_[tid];
     // seq_cst: the retire stamp must not read stale-low. A stamp one
@@ -265,7 +265,7 @@ class ebr_domain {
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
     recs_[tid].limbo.reclaim_ready(
         [e](const node* n) { return n->retire_epoch + 2 <= e; },
-        [this](node* n) { stats_->free_node(n); });
+        [this](node* n) { stats_.free_node(n); });
   }
 
   void scan_shard(unsigned s, bool steal = false) {
@@ -274,7 +274,7 @@ class ebr_domain {
     sharded_->scan(
         s, shard_threshold_,
         [e](const node* n) { return n->retire_epoch + 2 <= e; },
-        [this](node* n) { stats_->free_node(n); }, steal);
+        [this](node* n) { stats_.free_node(n); }, steal);
   }
 
   const ebr_config cfg_;
@@ -282,7 +282,7 @@ class ebr_domain {
   core::era_clock epoch_{2};
   std::unique_ptr<core::sharded_retire<node>> sharded_;  // null = classic
   std::size_t shard_threshold_ = 0;
-  padded_stats stats_;
+  stats stats_;
 };
 
 }  // namespace hyaline::smr

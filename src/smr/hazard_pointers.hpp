@@ -73,10 +73,10 @@ class hp_domain {
     if (cfg_.retire_shards != 0) {
       sharded_ =
           std::make_unique<core::sharded_retire<node>>(cfg_.retire_shards);
-      sharded_->attach(&stats_->events);
+      sharded_->attach(&stats_.events);
     }
-    recs_.pool()->attach(&stats_->events);
-    for (rec& r : recs_) r.retired.attach(&stats_->events);
+    recs_.pool()->attach(&stats_.events);
+    for (rec& r : recs_) r.retired.attach(&stats_.events);
   }
 
   explicit hp_domain(unsigned max_threads)
@@ -87,9 +87,9 @@ class hp_domain {
   hp_domain(const hp_domain&) = delete;
   hp_domain& operator=(const hp_domain&) = delete;
 
-  void on_alloc(node*) { stats_->on_alloc(); }
-  stats& counters() { return *stats_; }
-  const stats& counters() const { return *stats_; }
+  void on_alloc(node*) { stats_.on_alloc(); }
+  stats& counters() { return stats_; }
+  const stats& counters() const { return stats_; }
 
   class guard {
    public:
@@ -178,7 +178,7 @@ class hp_domain {
   };
 
   void retire(unsigned tid, node* n) {
-    stats_->stamp_retire(n);
+    stats_.stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     if (sharded_ != nullptr) {
       const unsigned s = sharded_->shard_of(tid);
@@ -221,7 +221,7 @@ class hp_domain {
           return !std::binary_search(snapshot.begin(), snapshot.end(),
                                      static_cast<const void*>(n));
         },
-        [this](node* n) { stats_->free_node(n); });
+        [this](node* n) { stats_.free_node(n); });
   }
 
   void scan_shard(unsigned s, bool steal = false) {
@@ -232,13 +232,13 @@ class hp_domain {
           return !std::binary_search(snapshot.begin(), snapshot.end(),
                                      static_cast<const void*>(n));
         },
-        [this](node* n) { stats_->free_node(n); }, steal);
+        [this](node* n) { stats_.free_node(n); }, steal);
   }
 
   hp_config cfg_;
   core::thread_registry<rec> recs_;
   std::unique_ptr<core::sharded_retire<node>> sharded_;  // null = classic
-  padded_stats stats_;
+  stats stats_;
 };
 
 }  // namespace hyaline::smr

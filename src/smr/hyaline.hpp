@@ -144,7 +144,7 @@ class basic_domain {
                Robust && cfg_.max_slots > normalize_k(cfg_.slots)
                    ? std::bit_ceil(cfg_.max_slots)
                    : normalize_k(cfg_.slots)) {
-    alloc_era_.attach(&stats_->events);
+    alloc_era_.attach(&stats_.events);
   }
 
   ~basic_domain() { drain(); }
@@ -156,7 +156,7 @@ class basic_domain {
   /// object that will be retired through this domain. No-op for basic
   /// Hyaline (kept so data structures are scheme-agnostic).
   void on_alloc(node* n) {
-    stats_->on_alloc();
+    stats_.on_alloc();
     if constexpr (Robust) {
       auto& b = builders_.local();
       alloc_era_.tick(b.alloc_counter, cfg_.era_freq);
@@ -169,8 +169,8 @@ class basic_domain {
     }
   }
 
-  smr::stats& counters() { return *stats_; }
-  const smr::stats& counters() const { return *stats_; }
+  smr::stats& counters() { return stats_; }
+  const smr::stats& counters() const { return stats_; }
 
   /// Current number of slots (grows only in adaptive Hyaline-S).
   std::size_t slot_count() const { return slots_.size(); }
@@ -450,7 +450,7 @@ class basic_domain {
   }
 
   void retire_into(batch_builder& b, node* n) {
-    stats_->stamp_retire(n);
+    stats_.stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     if constexpr (Robust) {
       const std::uint64_t era = birth_of(n);
@@ -490,7 +490,7 @@ class basic_domain {
     node* refs = b.refs;
     const std::uint64_t min_birth = b.min_birth;
     obs::emit(obs::event::batch_finalize, b.count);
-    stats_->events.on_finalize();
+    stats_.events.on_finalize();
     b.refs = nullptr;
     b.count = 0;
     b.min_birth = ~std::uint64_t{0};
@@ -607,13 +607,13 @@ class basic_domain {
 
   void free_batch(node* refs) {
     node* c = refs->w1;
-    stats_->free_node(refs);
+    stats_.free_node(refs);
     while (c != nullptr) {
       node* nx = c->w1;
       if (is_dummy(c)) {
         delete c;  // padding dummy: a plain node, never user-retired
       } else {
-        stats_->free_node(c);
+        stats_.free_node(c);
       }
       c = nx;
     }
@@ -638,7 +638,7 @@ class basic_domain {
   const config cfg_;
   slot_directory<slot_rec> slots_;
   smr::core::era_clock alloc_era_{1};  // global era clock (Hyaline-S)
-  smr::padded_stats stats_;
+  smr::stats stats_;
 
   /// Per-(thread, domain) batch builders (core/thread_registry.hpp).
   smr::core::tls_cache<batch_builder> builders_;

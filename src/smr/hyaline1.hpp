@@ -71,8 +71,8 @@ class basic_domain1 {
   explicit basic_domain1(config1 cfg = {})
       : cfg_(validated(cfg)),
         slots_(static_cast<unsigned>(cfg_.max_threads)) {
-    alloc_era_.attach(&stats_->events);
-    slots_.pool()->attach(&stats_->events);
+    alloc_era_.attach(&stats_.events);
+    slots_.pool()->attach(&stats_.events);
   }
 
   ~basic_domain1() { drain(); }
@@ -81,7 +81,7 @@ class basic_domain1 {
   basic_domain1& operator=(const basic_domain1&) = delete;
 
   void on_alloc(node* n) {
-    stats_->on_alloc();
+    stats_.on_alloc();
     if constexpr (Robust) {
       auto& b = builders_.local();
       alloc_era_.tick(b.alloc_counter, cfg_.era_freq);
@@ -92,8 +92,8 @@ class basic_domain1 {
     }
   }
 
-  smr::stats& counters() { return *stats_; }
-  const smr::stats& counters() const { return *stats_; }
+  smr::stats& counters() { return stats_; }
+  const smr::stats& counters() const { return stats_; }
 
   std::size_t slot_count() const { return cfg_.max_threads; }
   std::size_t batch_size() const {
@@ -271,7 +271,7 @@ class basic_domain1 {
   }
 
   void retire_into(batch_builder& b, node* n) {
-    stats_->stamp_retire(n);
+    stats_.stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     if constexpr (Robust) {
       const std::uint64_t era = birth_of(n);
@@ -306,7 +306,7 @@ class basic_domain1 {
     node* refs = b.refs;
     const std::uint64_t min_birth = b.min_birth;
     obs::emit(obs::event::batch_finalize, b.count);
-    stats_->events.on_finalize();
+    stats_.events.on_finalize();
     b.refs = nullptr;
     b.count = 0;
     b.min_birth = ~std::uint64_t{0};
@@ -398,13 +398,13 @@ class basic_domain1 {
 
   void free_batch(node* refs) {
     node* c = refs->w1;
-    stats_->free_node(refs);
+    stats_.free_node(refs);
     while (c != nullptr) {
       node* nx = c->w1;
       if (is_dummy(c)) {
         delete c;  // padding dummy: a plain node, never user-retired
       } else {
-        stats_->free_node(c);
+        stats_.free_node(c);
       }
       c = nx;
     }
@@ -415,7 +415,7 @@ class basic_domain1 {
   /// (the 1:1 mapping shares the baselines' registry machinery).
   smr::core::thread_registry<slot_rec> slots_;
   smr::core::era_clock alloc_era_{1};  // global era clock (Hyaline-1S)
-  smr::padded_stats stats_;
+  smr::stats stats_;
 
   /// Per-(thread, domain) batch builders (core/thread_registry.hpp).
   smr::core::tls_cache<batch_builder> builders_;

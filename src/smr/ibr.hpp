@@ -69,11 +69,11 @@ class ibr_domain {
     if (cfg_.retire_shards != 0) {
       sharded_ =
           std::make_unique<core::sharded_retire<node>>(cfg_.retire_shards);
-      sharded_->attach(&stats_->events);
+      sharded_->attach(&stats_.events);
     }
-    era_.attach(&stats_->events);
-    recs_.pool()->attach(&stats_->events);
-    for (rec& r : recs_) r.retired.attach(&stats_->events);
+    era_.attach(&stats_.events);
+    recs_.pool()->attach(&stats_.events);
+    for (rec& r : recs_) r.retired.attach(&stats_.events);
   }
 
   explicit ibr_domain(unsigned max_threads)
@@ -85,7 +85,7 @@ class ibr_domain {
   ibr_domain& operator=(const ibr_domain&) = delete;
 
   void on_alloc(node* n) {
-    stats_->on_alloc();
+    stats_.on_alloc();
     thread_local std::uint64_t alloc_counter = 0;
     era_.tick(alloc_counter, cfg_.era_freq);
     // Audit(ibr-birth-load): acquire, not seq_cst. A stale-low birth era
@@ -94,8 +94,8 @@ class ibr_domain {
     n->birth_era = era_.load(std::memory_order_acquire);
   }
 
-  stats& counters() { return *stats_; }
-  const stats& counters() const { return *stats_; }
+  stats& counters() { return stats_; }
+  const stats& counters() const { return stats_; }
 
   class guard {
    public:
@@ -233,7 +233,7 @@ class ibr_domain {
   };
 
   void retire(unsigned tid, node* n) {
-    stats_->stamp_retire(n);
+    stats_.stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     // seq_cst: a stale-low retire stamp shrinks the node's lifetime
     // interval, so can_free misses reservations that still cover it and
@@ -275,21 +275,21 @@ class ibr_domain {
   void scan(unsigned tid) {
     recs_[tid].retired.scan(
         [this](const node* n) { return can_free(n); },
-        [this](node* n) { stats_->free_node(n); });
+        [this](node* n) { stats_.free_node(n); });
   }
 
   void scan_shard(unsigned s, bool steal = false) {
     sharded_->scan(
         s, cfg_.scan_threshold,
         [this](const node* n) { return can_free(n); },
-        [this](node* n) { stats_->free_node(n); }, steal);
+        [this](node* n) { stats_.free_node(n); }, steal);
   }
 
   ibr_config cfg_;
   core::thread_registry<rec> recs_;
   core::era_clock era_{1};
   std::unique_ptr<core::sharded_retire<node>> sharded_;  // null = classic
-  padded_stats stats_;
+  stats stats_;
 };
 
 }  // namespace hyaline::smr

@@ -38,9 +38,9 @@ class immediate_domain {
   immediate_domain(const immediate_domain&) = delete;
   immediate_domain& operator=(const immediate_domain&) = delete;
 
-  void on_alloc(node*) { stats_->on_alloc(); }
-  stats& counters() { return *stats_; }
-  const stats& counters() const { return *stats_; }
+  void on_alloc(node*) { stats_.on_alloc(); }
+  stats& counters() { return stats_; }
+  const stats& counters() const { return stats_; }
 
   class guard {
    public:
@@ -61,9 +61,9 @@ class immediate_domain {
     template <class T>
     void retire(T* n) {
       n->smr_dtor = core::dtor_thunk<T>();
-      dom_.stats_->stamp_retire(static_cast<node*>(n));
+      dom_.stats_.stamp_retire(static_cast<node*>(n));
       obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
-      dom_.stats_->free_node(static_cast<node*>(n));
+      dom_.stats_.free_node(static_cast<node*>(n));
     }
 
    private:
@@ -73,7 +73,7 @@ class immediate_domain {
   void drain() {}
 
  private:
-  padded_stats stats_;
+  stats stats_;
 };
 
 }  // namespace hyaline::smr

@@ -43,9 +43,9 @@ class leaky_domain {
   leaky_domain(const leaky_domain&) = delete;
   leaky_domain& operator=(const leaky_domain&) = delete;
 
-  void on_alloc(node*) { stats_->on_alloc(); }
-  stats& counters() { return *stats_; }
-  const stats& counters() const { return *stats_; }
+  void on_alloc(node*) { stats_.on_alloc(); }
+  stats& counters() { return stats_; }
+  const stats& counters() const { return stats_; }
 
   class guard {
    public:
@@ -64,7 +64,7 @@ class leaky_domain {
     template <class T>
     void retire(T* n) {
       n->smr_dtor = core::dtor_thunk<T>();
-      dom_.stats_->stamp_retire(static_cast<node*>(n));
+      dom_.stats_.stamp_retire(static_cast<node*>(n));
       obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
       auto& shards = dom_.retired_;
       shards[core::thread_hint() % shards.size()].value.push(
@@ -81,7 +81,7 @@ class leaky_domain {
       node* n = shard.value.take_all();
       while (n != nullptr) {
         node* nx = n->next;
-        stats_->free_node(n);
+        stats_.free_node(n);
         n = nx;
       }
     }
@@ -89,7 +89,7 @@ class leaky_domain {
 
  private:
   std::vector<padded<core::treiber_stack<node>>> retired_;
-  padded_stats stats_;
+  stats stats_;
 };
 
 }  // namespace hyaline::smr

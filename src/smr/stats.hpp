@@ -15,6 +15,19 @@
 //     bucket geometry as lab::latency_histogram) fed at free time from the
 //     retire timestamp stamped on the node. Lag tracking is gated by
 //     obs::lag_tracking() — off, retire/free pay one relaxed load each.
+//
+// Layout: per-thread stripes, summed on read. A domain's `stats` holds
+// kStatsStripes cache-line-aligned `stats_stripe`s, each with its own copy
+// of every counter above. A thread bumps the stripe picked by
+// core::thread_hint(): nothing on the alloc/retire/free path writes a line
+// another thread's stripe lives on, which is the no-false-sharing premise
+// of the paper's §3.3 (see common/align.hpp). Bumps stay relaxed
+// fetch_adds because threads whose hints collide share a stripe. Readers
+// (`retired.load(order)`, `events.steals.load(order)`, unreclaimed(),
+// snapshot()) sum the stripes one at a time, so totals read mid-run may be
+// momentarily inconsistent with each other (freed briefly above retired, a
+// histogram a few counts off its ledger); once the threads are quiescent
+// every total is exact.
 #pragma once
 
 #include <atomic>
@@ -24,36 +37,19 @@
 #include "common/align.hpp"
 #include "obs/trace.hpp"
 #include "smr/core/node_alloc.hpp"
+#include "smr/core/thread_hint.hpp"
 
 namespace hyaline::smr {
 
-/// Mechanism-level event counters, bumped (relaxed) by the core retired-set
-/// primitives and the schemes' steal/finalize call sites. Monotone
-/// statistics only — never synchronization.
-struct domain_counters {
-  std::atomic<std::uint64_t> scans{0};      // reclamation passes over a retired set
-  std::atomic<std::uint64_t> steals{0};     // scans of a neighbour's shard
-  std::atomic<std::uint64_t> rearms{0};     // adaptive rescan-point resets
-  std::atomic<std::uint64_t> finalizes{0};  // Hyaline batch finalizations
-  std::atomic<std::uint64_t> era_advances{0};
-  std::atomic<std::uint64_t> tid_acquires{0};  // slow-path tid pool checkouts
+/// Stripes per stats block; a power of two so the stripe index is a mask.
+inline constexpr unsigned kStatsStripes = 16;
+static_assert(std::has_single_bit(kStatsStripes));
 
-  void on_scan() { scans.fetch_add(1, std::memory_order_relaxed); }
-  void on_steal() { steals.fetch_add(1, std::memory_order_relaxed); }
-  void on_rearm() { rearms.fetch_add(1, std::memory_order_relaxed); }
-  void on_finalize() { finalizes.fetch_add(1, std::memory_order_relaxed); }
-  void on_era_advance() {
-    era_advances.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_tid_acquire() {
-    tid_acquires.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-/// Atomic log2-bucketed histogram of retire->free lag in nanoseconds.
-/// Bucket geometry matches lab::latency_histogram exactly (bucket 0 holds
-/// {0}, bucket b holds [2^(b-1), 2^b - 1]) so the harness can rehydrate a
-/// latency_histogram from a snapshot and reuse its percentile math.
+/// Log2-bucketed histogram of retire->free lag in nanoseconds (one per
+/// stripe). Bucket geometry matches lab::latency_histogram exactly (bucket 0
+/// holds {0}, bucket b holds [2^(b-1), 2^b - 1]) so the harness can
+/// rehydrate a latency_histogram from a snapshot and reuse its percentile
+/// math.
 struct lag_counters {
   static constexpr unsigned kBuckets = 65;
 
@@ -67,6 +63,85 @@ struct lag_counters {
            !max_ns.compare_exchange_weak(m, ns, std::memory_order_relaxed,
                                          std::memory_order_relaxed)) {
     }
+  }
+};
+
+/// One stripe: a private copy of every counter. The first cache line holds
+/// everything an untraced operation can bump; tid acquires (slow path) and
+/// the lag histogram (lag tracking on) follow.
+struct alignas(cache_line_size) stats_stripe {
+  std::atomic<std::uint64_t> allocated{0};
+  std::atomic<std::uint64_t> retired{0};
+  std::atomic<std::uint64_t> freed{0};
+  std::atomic<std::uint64_t> scans{0};      // reclamation passes over a retired set
+  std::atomic<std::uint64_t> steals{0};     // scans of a neighbour's shard
+  std::atomic<std::uint64_t> rearms{0};     // adaptive rescan-point resets
+  std::atomic<std::uint64_t> finalizes{0};  // Hyaline batch finalizations
+  std::atomic<std::uint64_t> era_advances{0};
+  std::atomic<std::uint64_t> tid_acquires{0};  // slow-path tid pool checkouts
+  lag_counters lag;
+};
+static_assert(sizeof(stats_stripe) == 10 * cache_line_size);
+
+/// The calling thread's stripe of `stripes` (a kStatsStripes array).
+inline stats_stripe& my_stripe(stats_stripe* stripes) {
+  return stripes[core::thread_hint() & (kStatsStripes - 1)];
+}
+
+/// Read side of one counter: load() sums field F over every stripe.
+template <std::atomic<std::uint64_t> stats_stripe::*F>
+class striped_total {
+ public:
+  explicit striped_total(const stats_stripe* stripes) : stripes_(stripes) {}
+
+  std::uint64_t load(std::memory_order order) const {
+    std::uint64_t total = 0;
+    for (unsigned i = 0; i < kStatsStripes; ++i) {
+      total += (stripes_[i].*F).load(order);
+    }
+    return total;
+  }
+
+ private:
+  const stats_stripe* stripes_;
+};
+
+/// Mechanism-level event counters, bumped (relaxed) by the core retired-set
+/// primitives and the schemes' steal/finalize call sites into the calling
+/// thread's stripe of the owning `stats`. Monotone statistics only — never
+/// synchronization.
+class domain_counters {
+  stats_stripe* stripes_;
+
+ public:
+  explicit domain_counters(stats_stripe* stripes)
+      : stripes_(stripes),
+        scans(stripes),
+        steals(stripes),
+        rearms(stripes),
+        finalizes(stripes),
+        era_advances(stripes),
+        tid_acquires(stripes) {}
+  domain_counters(const domain_counters&) = delete;
+  domain_counters& operator=(const domain_counters&) = delete;
+
+  striped_total<&stats_stripe::scans> scans;
+  striped_total<&stats_stripe::steals> steals;
+  striped_total<&stats_stripe::rearms> rearms;
+  striped_total<&stats_stripe::finalizes> finalizes;
+  striped_total<&stats_stripe::era_advances> era_advances;
+  striped_total<&stats_stripe::tid_acquires> tid_acquires;
+
+  void on_scan() { bump(&stats_stripe::scans); }
+  void on_steal() { bump(&stats_stripe::steals); }
+  void on_rearm() { bump(&stats_stripe::rearms); }
+  void on_finalize() { bump(&stats_stripe::finalizes); }
+  void on_era_advance() { bump(&stats_stripe::era_advances); }
+  void on_tid_acquire() { bump(&stats_stripe::tid_acquires); }
+
+ private:
+  void bump(std::atomic<std::uint64_t> stats_stripe::*f) {
+    (my_stripe(stripes_).*f).fetch_add(1, std::memory_order_relaxed);
   }
 };
 
@@ -105,22 +180,33 @@ struct stats_snapshot {
   }
 };
 
-struct stats {
-  std::atomic<std::uint64_t> allocated{0};
-  std::atomic<std::uint64_t> retired{0};
-  std::atomic<std::uint64_t> freed{0};
-  domain_counters events;
-  lag_counters lag;
+/// Every counter of one domain: 10368 bytes (asserted below), almost all of
+/// it the stripes, paid once per domain — e.g. once per shard in the svc
+/// sharded service.
+class stats {
+  stats_stripe stripes_[kStatsStripes];
+
+ public:
+  stats() = default;
+  stats(const stats&) = delete;
+  stats& operator=(const stats&) = delete;
+
+  striped_total<&stats_stripe::allocated> allocated{stripes_};
+  striped_total<&stats_stripe::retired> retired{stripes_};
+  striped_total<&stats_stripe::freed> freed{stripes_};
+  domain_counters events{stripes_};
 
   void on_alloc(std::uint64_t n = 1) {
-    allocated.fetch_add(n, std::memory_order_relaxed);
+    my_stripe(stripes_).allocated.fetch_add(n, std::memory_order_relaxed);
   }
   void on_retire(std::uint64_t n = 1) {
-    retired.fetch_add(n, std::memory_order_relaxed);
+    my_stripe(stripes_).retired.fetch_add(n, std::memory_order_relaxed);
   }
   void on_free(std::uint64_t n = 1) {
-    freed.fetch_add(n, std::memory_order_relaxed);
+    my_stripe(stripes_).freed.fetch_add(n, std::memory_order_relaxed);
   }
+  /// One retire->free lag sample (free_node's path when tracking is on).
+  void on_lag(std::uint64_t ns) { my_stripe(stripes_).lag.record(ns); }
 
   /// Retire-path half of lag tracking: stamp the node with the current
   /// tick count. One relaxed load + predicted branch when tracking is off.
@@ -136,45 +222,53 @@ struct stats {
   /// Every scheme's reclamation loop funnels user-retired nodes here.
   template <class Node>
   void free_node(Node* n) {
+    stats_stripe& mine = my_stripe(stripes_);
     if (obs::lag_tracking()) [[unlikely]] {
       if (n->obs_retire_ticks != 0) {
-        lag.record(
+        mine.lag.record(
             obs::ticks_to_ns(obs::now_ticks() - n->obs_retire_ticks));
       }
     }
     core::destroy(n);
-    on_free();
+    mine.freed.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Retired-but-not-yet-reclaimed snapshot. Relaxed reads: the value is a
-  /// statistical sample, momentary inconsistencies are fine.
+  /// Retired-but-not-yet-reclaimed sample, clamped at zero (mid-run the
+  /// stripe sums may briefly show freed above retired).
   std::uint64_t unreclaimed() const {
-    const auto r = retired.load(std::memory_order_relaxed);
-    const auto f = freed.load(std::memory_order_relaxed);
+    std::uint64_t r = 0;
+    std::uint64_t f = 0;
+    for (const stats_stripe& s : stripes_) {
+      r += s.retired.load(std::memory_order_relaxed);
+      f += s.freed.load(std::memory_order_relaxed);
+    }
     return r >= f ? r - f : 0;
   }
 
-  /// Relaxed copy-out of every counter (see stats_snapshot).
+  /// Relaxed sum of every counter over the stripes (see stats_snapshot).
   stats_snapshot snapshot() const {
-    stats_snapshot s;
-    s.allocated = allocated.load(std::memory_order_relaxed);
-    s.retired = retired.load(std::memory_order_relaxed);
-    s.freed = freed.load(std::memory_order_relaxed);
-    s.scans = events.scans.load(std::memory_order_relaxed);
-    s.steals = events.steals.load(std::memory_order_relaxed);
-    s.rearms = events.rearms.load(std::memory_order_relaxed);
-    s.finalizes = events.finalizes.load(std::memory_order_relaxed);
-    s.era_advances = events.era_advances.load(std::memory_order_relaxed);
-    s.tid_acquires = events.tid_acquires.load(std::memory_order_relaxed);
-    for (unsigned b = 0; b < lag_counters::kBuckets; ++b) {
-      s.lag_bucket[b] = lag.bucket[b].load(std::memory_order_relaxed);
-      s.lag_count += s.lag_bucket[b];
+    stats_snapshot t;
+    for (const stats_stripe& s : stripes_) {
+      t.allocated += s.allocated.load(std::memory_order_relaxed);
+      t.retired += s.retired.load(std::memory_order_relaxed);
+      t.freed += s.freed.load(std::memory_order_relaxed);
+      t.scans += s.scans.load(std::memory_order_relaxed);
+      t.steals += s.steals.load(std::memory_order_relaxed);
+      t.rearms += s.rearms.load(std::memory_order_relaxed);
+      t.finalizes += s.finalizes.load(std::memory_order_relaxed);
+      t.era_advances += s.era_advances.load(std::memory_order_relaxed);
+      t.tid_acquires += s.tid_acquires.load(std::memory_order_relaxed);
+      for (unsigned b = 0; b < lag_counters::kBuckets; ++b) {
+        const std::uint64_t c = s.lag.bucket[b].load(std::memory_order_relaxed);
+        t.lag_bucket[b] += c;
+        t.lag_count += c;
+      }
+      const std::uint64_t m = s.lag.max_ns.load(std::memory_order_relaxed);
+      if (m > t.lag_max_ns) t.lag_max_ns = m;
     }
-    s.lag_max_ns = lag.max_ns.load(std::memory_order_relaxed);
-    return s;
+    return t;
   }
 };
-
-using padded_stats = hyaline::padded<stats>;
+static_assert(sizeof(stats) == 10368);  // 16 stripes + two lines of views
 
 }  // namespace hyaline::smr

@@ -83,7 +83,9 @@ class shard_router {
 
   /// `make_domain` builds one domain per shard (scheme factory bound to
   /// scheme_params by the caller); `buckets_per_shard` sizes each shard's
-  /// hashmap for its slice of the key space.
+  /// hashmap for its slice of the key space. Each domain carries its own
+  /// per-thread-striped smr::stats, sizeof(smr::stats) = 10368 bytes, so
+  /// the counters cost about 10 KiB per shard.
   template <class Factory>
   shard_router(unsigned shards, Factory&& make_domain,
                std::size_t buckets_per_shard)

@@ -169,7 +169,8 @@ TEST_F(ObsTraceTest, ShardedScanStealAttributionAndEvents) {
   struct test_node {
     test_node* next = nullptr;
   };
-  smr::domain_counters ctrs;
+  smr::stats st;
+  smr::domain_counters& ctrs = st.events;
   smr::core::sharded_retire<test_node> shards(2);
   shards.attach(&ctrs);
 
