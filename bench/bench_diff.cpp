@@ -55,11 +55,11 @@ const sweep_point* find_match(const sweep_file& f, const sweep_point& p) {
 
 void print_provenance(const char* label, const std::string& path,
                       const sweep_file& f) {
-  std::printf("%s %s\n  rev %s | %s | %s | fastpath=%s shards=%u\n", label,
+  std::printf("%s %s\n  rev %s | %s | %s | fastpath=%s\n", label,
               path.c_str(), f.git_sha.empty() ? "?" : f.git_sha.c_str(),
               f.compiler.empty() ? "?" : f.compiler.c_str(),
               f.cpu_model.empty() ? "?" : f.cpu_model.c_str(),
-              f.fastpath.empty() ? "?" : f.fastpath.c_str(), f.shards);
+              f.fastpath.empty() ? "?" : f.fastpath.c_str());
 }
 
 }  // namespace
@@ -184,7 +184,6 @@ int main(int argc, char** argv) {
     if (oldf.compiler != newf.compiler) ++mismatches;
     if (oldf.seed != newf.seed) ++mismatches;
     if (oldf.fastpath != newf.fastpath) ++mismatches;
-    if (oldf.shards != newf.shards) ++mismatches;
     std::printf("# provenance: %d mismatches\n", mismatches);
   }
   if (require_cells && only_old != 0) {

@@ -15,8 +15,8 @@
 // Single-threaded by design: cross-thread interference is the throughput
 // figures' job; this one answers "what does the uncontended path cost".
 //
-//   fig_opcost [--iters n] [--fastpath on|off] [--shards n]
-//              [--schemes a,b,...] [--json path]
+//   fig_opcost [--iters n] [--fastpath on|off] [--schemes a,b,...]
+//              [--json path]
 //
 // CSV (scheme,op,ns_per_op) to stdout; --json adds a machine-readable
 // file with the usual provenance block.
@@ -40,14 +40,13 @@ using harness::scheme_traits;
 struct opcost_options {
   std::uint64_t iters = 200000;
   bool fastpath = true;
-  unsigned shards = 0;
   std::vector<std::string> schemes;
   std::string json;
 };
 
 [[noreturn]] void usage(const char* prog) {
   std::fprintf(stderr,
-               "usage: %s [--iters n] [--fastpath on|off] [--shards n]\n"
+               "usage: %s [--iters n] [--fastpath on|off]\n"
                "          [--schemes a,b,...] [--json path]\n",
                prog);
   std::exit(2);
@@ -75,9 +74,6 @@ opcost_options parse_args(int argc, char** argv) {
       } else {
         usage(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      o.shards = static_cast<unsigned>(
-          std::strtoul(need_val("--shards"), nullptr, 10));
     } else if (std::strcmp(argv[i], "--schemes") == 0) {
       std::string cur;
       for (const char* p = need_val("--schemes");; ++p) {
@@ -136,7 +132,6 @@ void measure(const opcost_options& o, std::vector<row>& rows) {
 
   scheme_params p;
   p.max_threads = 4;
-  p.retire_shards = o.fastpath ? o.shards : 0;
   p.entry_burst = o.fastpath ? 64 : 0;
   auto dom = scheme_traits<D>::make(p);
   using guard_t = typename D::guard;
@@ -241,8 +236,7 @@ int main(int argc, char** argv) {
     j += "  " + harness::provenance_json() + ",\n";
     j += "  \"config\": {\"iters\": " + std::to_string(o.iters) +
          ", \"fastpath\": \"" + (o.fastpath ? "on" : "off") +
-         "\", \"shards\": " + std::to_string(o.fastpath ? o.shards : 0) +
-         "},\n  \"rows\": [\n";
+         "\"},\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       char buf[160];
       std::snprintf(buf, sizeof buf,

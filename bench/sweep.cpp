@@ -12,19 +12,17 @@
 // dropping one orphans the historical series.
 //
 //   sweep [--out path] [--threads n] [--duration ms] [--repeats n]
-//         [--seed n] [--fastpath on|off] [--shards n|auto]
-//         [--schemes a,b,...]
+//         [--seed n] [--fastpath on|off] [--schemes a,b,...]
 //
-// --fastpath off disables the per-op fast path (slab allocator, guard
-// entry amortization, sharded retire) so a single binary can measure its
-// own before/after on the same machine.
+// --fastpath off disables the per-op fast path (slab allocator and guard
+// entry amortization) so a single binary can measure its own
+// before/after on the same machine.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/topology.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
 #include "lab/fault_plan.hpp"
@@ -46,7 +44,6 @@ struct sweep_options {
   unsigned repeats = 1;
   std::uint64_t seed = 0x5eed;
   bool fastpath = true;
-  unsigned shards = 0;
   std::vector<std::string> schemes;  // empty = full lineup
 };
 
@@ -54,7 +51,7 @@ struct sweep_options {
   std::fprintf(stderr,
                "usage: %s [--out path] [--threads n] [--duration ms]\n"
                "          [--repeats n] [--seed n] [--fastpath on|off]\n"
-               "          [--shards n|auto] [--schemes a,b,...]\n",
+               "          [--schemes a,b,...]\n",
                prog);
   std::exit(2);
 }
@@ -94,16 +91,6 @@ sweep_options parse_args(int argc, char** argv) {
       } else {
         std::fprintf(stderr, "--fastpath wants on|off\n");
         usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_val("--shards");
-      if (std::strcmp(v, "auto") == 0) {
-        o.shards = default_retire_shards();
-      } else {
-        char* end = nullptr;
-        const unsigned long n = std::strtoul(v, &end, 10);
-        if (end == v || *end != '\0') usage(argv[0]);
-        o.shards = static_cast<unsigned>(n);
       }
     } else if (std::strcmp(argv[i], "--schemes") == 0) {
       std::string cur;
@@ -194,7 +181,6 @@ int main(int argc, char** argv) {
   } else {
     smr::core::slab::set_enabled(false);
   }
-  const unsigned shards = o.fastpath ? o.shards : 0;
   const std::uint32_t entry_burst = o.fastpath ? 64 : 0;
 
   const scheme_registry& reg = scheme_registry::instance();
@@ -254,7 +240,6 @@ int main(int argc, char** argv) {
 
       scheme_params p;
       p.max_threads = plan.lease_headroom(o.threads);
-      p.retire_shards = shards;
       p.entry_burst = entry_burst;
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
 
@@ -290,8 +275,7 @@ int main(int argc, char** argv) {
   j += "  " + harness::provenance_json() + ",\n";
   j += "  \"config\": {\"fastpath\": \"" +
        std::string(o.fastpath ? "on" : "off") +
-       "\", \"shards\": " + std::to_string(shards) +
-       ", \"duration_ms\": " + std::to_string(o.duration_ms) +
+       "\", \"duration_ms\": " + std::to_string(o.duration_ms) +
        ", \"repeats\": " + std::to_string(o.repeats) +
        ", \"threads\": " + std::to_string(o.threads) + "},\n";
   j += "  \"cells\": [\n";

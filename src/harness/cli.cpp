@@ -7,8 +7,6 @@
 #include <cstring>
 #include <iterator>
 
-#include "common/topology.hpp"
-
 namespace hyaline::harness {
 namespace {
 
@@ -49,7 +47,6 @@ std::vector<std::string> parse_names(const char* s) {
                "          [--range n] [--schemes name,...]\n"
                "          [--mix insert,remove,get]\n"
                "          [--producers a,b,...] [--consumers a,b,...]\n"
-               "          [--shards n|auto]\n"
                "          [--seed n] [--faults spec] [--sample-ms n]\n"
                "          [--structure name] [--lat-sample n]\n"
                "          [--trace path] [--metrics path]\n"
@@ -151,19 +148,6 @@ cli_options parse_cli(int argc, char** argv, cli_options defaults) {
                      "summing to 100 (got %zu values, sum %llu)\n",
                      o.mix.size(), sum);
         usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_val("--shards");
-      if (std::strcmp(v, "auto") == 0) {
-        o.shards = default_retire_shards();
-      } else {
-        char* end = nullptr;
-        const unsigned long n = std::strtoul(v, &end, 10);
-        if (end == v || *end != '\0') {
-          std::fprintf(stderr, "--shards wants a count or 'auto'\n");
-          usage(argv[0]);
-        }
-        o.shards = n > ~0u ? ~0u : static_cast<unsigned>(n);
       }
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       // Base 0: hex seeds (0x5eed) round-trip from the header comment.

@@ -15,10 +15,6 @@
 //   --producers a,b,...  producer-thread counts  (container figures only;
 //   --consumers a,b,...  consumer-thread counts   zipped pairwise into
 //                        (producers, consumers) sweep points)
-//   --shards <n|auto>    retired-node shard count for schemes that support
-//                        sharded retire domains (EBR, IBR, HP, HE, Leaky);
-//                        0 = classic per-thread lists, `auto` picks a
-//                        count from the machine topology
 //   --seed <n>           base PRNG seed threaded through every workload
 //                        generator (prefill, workers, stall draws); echoed
 //                        in the CSV header comment and the --json config
@@ -32,7 +28,7 @@
 //                        modulo stays a mask); echoed in the CSV header
 //                        comment and the --json config block
 //   --trace <path>       record SMR-internals events (guard enter/exit,
-//                        retire, scan, steal, finalize, free, era advance,
+//                        retire, scan, finalize, free, era advance,
 //                        stall windows) into per-thread ring buffers and
 //                        export them as Chrome trace-event JSON on exit
 //                        (load in Perfetto / chrome://tracing). Bounded
@@ -115,10 +111,6 @@ struct cli_options {
   /// Base PRNG seed for every workload generator (default matches
   /// workload_config's).
   std::uint64_t seed = 0x5eed;
-  /// Retired-node shard count plumbed into scheme_params::retire_shards
-  /// (0 = classic lists; `--shards auto` resolves via
-  /// hyaline::default_retire_shards()).
-  unsigned shards = 0;
   /// Robustness-lab knobs (timeline figures only; other kinds reject
   /// them). `faults` is the raw spec text — parsed and validated by the
   /// timeline driver, which knows the thread count.

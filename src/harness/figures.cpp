@@ -306,7 +306,6 @@ int run_matrix(const figure_spec& spec, const cli_options& o,
       for (unsigned t : so.threads) {
         scheme_params p;
         p.max_threads = t + base.stalled_threads;
-        p.retire_shards = o.shards;
         workload_config cfg = base;
         cfg.threads = t;
         cfg.key_range = so.key_range;
@@ -360,7 +359,6 @@ int run_robustness(const figure_spec& spec, const cli_options& o,
       cfg.stalled_threads = stalled;
       scheme_params p;
       p.max_threads = active + stalled;
-      p.retire_shards = o.shards;
       p.slots = fixed_slots;
       p.max_slots = row.max_slots;   // 0 = capped; §4.3 growth otherwise
       p.ack_threshold = 512;  // scaled to short runs (paper: 8192 over 10 s)
@@ -409,7 +407,6 @@ int run_trim(const figure_spec& spec, const cli_options& o,
       cfg.use_trim = row.use_trim;
       scheme_params p;
       p.max_threads = t;
-      p.retire_shards = o.shards;
       p.slots = spec.slot_cap;
       runner_fn run = reg.runner(row.scheme, "hashmap");
       if (run == nullptr) {  // stale row table vs registry rename
@@ -461,7 +458,6 @@ int run_container(const figure_spec& spec, const cli_options& o,
         cfg.threads = cfg.producers + cfg.consumers;
         scheme_params p;
         p.max_threads = cfg.threads;
-        p.retire_shards = o.shards;
         const workload_result r = run(p, cfg);
         if (r.enqueued != r.dequeued + r.drained) {
           std::fprintf(stderr,
@@ -584,7 +580,6 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
     cfg.faults = plan.empty() ? nullptr : &plan;
     scheme_params p;
     p.max_threads = plan.lease_headroom(threads);
-    p.retire_shards = o.shards;
     p.ack_threshold = 512;  // scaled to short runs, as in fig10a
     const workload_result r =
         reg.runner(scheme, structure)(p, cfg);
@@ -867,7 +862,6 @@ std::string config_json(const figure_spec& spec, const cli_options& o) {
   s += "\"sample_every\": " + std::to_string(base.sample_every) + ", ";
   s += "\"lat_sample\": " + std::to_string(base.lat_sample) + ", ";
   s += "\"seed\": " + std::to_string(base.seed) + ", ";
-  s += "\"retire_shards\": " + std::to_string(o.shards) + ", ";
   // Build/machine stamp: revision, compiler, CPU — the fields that decide
   // whether two trajectory files are comparable at all.
   s += provenance_json();

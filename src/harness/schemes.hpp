@@ -32,9 +32,6 @@ struct scheme_params {
   std::size_t max_slots = 0;  ///< Hyaline-S adaptive growth cap (0 = off)
   std::size_t batch_min = 64;
   std::int64_t ack_threshold = 8192;  ///< Hyaline-S stalled-slot detection
-  /// Retired-node shard count for schemes that support it (EBR, IBR, HP,
-  /// HE, Leaky). 0 = classic per-thread (or global, for Leaky) lists.
-  unsigned retire_shards = 0;
   /// Amortized guard entry burst for caps.burst_entry schemes (EBR, IBR,
   /// Hyaline slot caching). Harness default is on — the workload runners
   /// quiesce idle/exiting threads, which the burst exit relies on. Direct
@@ -56,8 +53,7 @@ template <>
 struct scheme_traits<smr::leaky_domain> {
   static constexpr const char* name = "Leaky";
   static std::unique_ptr<smr::leaky_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::leaky_domain>(p.max_threads,
-                                               p.retire_shards);
+    return std::make_unique<smr::leaky_domain>(p.max_threads);
   }
 };
 
@@ -75,8 +71,7 @@ struct scheme_traits<smr::ebr_domain> {
   static std::unique_ptr<smr::ebr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ebr_domain>(
         smr::ebr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst,
-                        .retire_shards = p.retire_shards});
+                        .entry_burst = p.entry_burst});
   }
 };
 
@@ -84,8 +79,8 @@ template <>
 struct scheme_traits<smr::hp_domain> {
   static constexpr const char* name = "HP";
   static std::unique_ptr<smr::hp_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::hp_domain>(smr::hp_config{
-        .max_threads = p.max_threads, .retire_shards = p.retire_shards});
+    return std::make_unique<smr::hp_domain>(
+        smr::hp_config{.max_threads = p.max_threads});
   }
 };
 
@@ -93,8 +88,8 @@ template <>
 struct scheme_traits<smr::he_domain> {
   static constexpr const char* name = "HE";
   static std::unique_ptr<smr::he_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::he_domain>(smr::he_config{
-        .max_threads = p.max_threads, .retire_shards = p.retire_shards});
+    return std::make_unique<smr::he_domain>(
+        smr::he_config{.max_threads = p.max_threads});
   }
 };
 
@@ -104,8 +99,7 @@ struct scheme_traits<smr::ibr_domain> {
   static std::unique_ptr<smr::ibr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ibr_domain>(
         smr::ibr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst,
-                        .retire_shards = p.retire_shards});
+                        .entry_burst = p.entry_burst});
   }
 };
 

@@ -50,10 +50,6 @@ bool load_sweep(const std::string& path, sweep_file& out, std::string& err) {
       cfg != nullptr && cfg->is_obj()) {
     want_str(*cfg, "fastpath", out.fastpath, err);
     err.clear();
-    if (double sh = 0; want_num(*cfg, "shards", sh, err)) {
-      out.shards = static_cast<unsigned>(sh);
-    }
-    err.clear();
   }
 
   const jvalue* cells = get(root, "cells");

@@ -2,18 +2,17 @@
 //
 // bench/sweep writes one JSON document per run (schema below); the
 // comparator (bench/bench_diff) loads two of them and diffs matched
-// points. This header carries the in-memory form and a loader built on a
-// deliberately small recursive-descent JSON reader — enough for the
-// files this repo writes, with strict-enough errors that a truncated or
-// hand-mangled file is rejected instead of half-parsed.
+// points. This header carries the in-memory form and a loader built on
+// the shared reader in harness/json.hpp, with strict-enough errors that a
+// truncated or hand-mangled file is rejected instead of half-parsed.
 //
 // Schema (version 1):
 //   {
 //     "bench": "sweep", "version": 1, "seed": <n>,
 //     "provenance": {"git_sha": "...", "compiler": "...",
 //                    "cpu_model": "...", "hw_threads": <n>},
-//     "config": {"fastpath": "on"|"off", "shards": <n>,
-//                "duration_ms": <n>, "repeats": <n>, "threads": <n>},
+//     "config": {"fastpath": "on"|"off", "duration_ms": <n>,
+//                "repeats": <n>, "threads": <n>},
 //     "cells": [
 //       {"cell": "<lineup cell name>", "structure": "<registry name>",
 //        "scheme": "<registry name>", "threads": <n>, "mops": <x>,
@@ -49,7 +48,6 @@ struct sweep_file {
   std::string compiler;
   std::string cpu_model;
   std::string fastpath;  ///< "on" / "off" (empty if absent)
-  unsigned shards = 0;
   std::vector<sweep_point> points;
 };
 

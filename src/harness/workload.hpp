@@ -148,7 +148,7 @@ struct workload_result {
   /// Time series from the telemetry sampler (empty unless
   /// workload_config::sample_ms was set).
   std::vector<lab::sample_point> timeline;
-  /// Full domain counter snapshot (scans/steals/finalizes/lag histogram),
+  /// Full domain counter snapshot (scans/finalizes/lag histogram),
   /// captured by the registry runners after the quiescent drain. The lag
   /// buckets are all-zero unless obs::lag_tracking() was on for the run.
   smr::stats_snapshot obs;

@@ -1,40 +1,27 @@
 // Retired-node containers shared by the SMR schemes.
 //
-// Four shapes cover every baseline:
+// Three shapes cover every baseline:
 //   - retired_list:  owner-private LIFO with the adaptive rescan point used
 //     by HP, HE and IBR (scan only after the list grows a full threshold
 //     beyond what the previous scan could not free, keeping retire
 //     amortized O(threads) even when most of the list is pinned);
 //   - limbo_queue:   owner-private FIFO ordered by retire epoch (EBR);
-//   - treiber_stack: concurrent LIFO (Leaky parks nodes here until drain);
-//   - sharded_retire: N concurrent lists indexed by thread group, the
-//     middle ground between per-thread lists (no sharing, but an exited or
-//     idle thread's nodes sit unscanned until drain) and one global list
-//     (every retire contends on one cache line). Threads push to their
-//     group's shard and steal-scan a neighbour when it runs hot, so
-//     reclamation keeps up even when the retiring thread count is skewed.
-//     Shards carry the same adaptive rescan point as retired_list: a scan
-//     that keeps k pinned nodes rearms the shard to 2k + threshold, so a
-//     reservation pinning the whole shard costs O(log) rescans, not one
-//     full-shard scan per retire.
+//   - treiber_stack: concurrent LIFO (Leaky parks nodes here until drain).
 //
 // All are intrusive over the scheme's node type, which must expose a
 // `Node* next` member.
 //
-// Observability: every container can be attached to a domain's
-// `smr::domain_counters` (attach()); scans, rearms and shard steals are
-// then counted here, in the primitive, so every scheme built on these
-// containers reports them uniformly. Scan passes also emit
+// Observability: the two scanned containers can be attached to a domain's
+// `smr::domain_counters` (attach()); scans and rearms are then counted
+// here, in the primitive, so every scheme built on them reports them
+// uniformly. Scan passes also emit
 // scan_begin/scan_end trace events (obs/trace.hpp) — both seams cost one
 // relaxed load + predicted branch when observability is off.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <memory>
 
-#include "common/align.hpp"
 #include "obs/trace.hpp"
 #include "smr/stats.hpp"
 
@@ -144,116 +131,6 @@ class limbo_queue {
  private:
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
-  domain_counters* ctrs_ = nullptr;
-};
-
-/// N concurrent retired lists indexed by thread group (`tid % shards`).
-/// Push is one CAS on the shard's head; scan detaches the whole shard
-/// wholesale, frees what it can, and re-splices the survivors, so any
-/// thread (owner or stealer) can reclaim any shard concurrently. Counts
-/// are advisory (they race with detach) — they only gate *when* to scan.
-template <class Node>
-class sharded_retire {
- public:
-  explicit sharded_retire(unsigned shards)
-      : n_(shards == 0 ? 1 : shards), shards_(new shard[n_]) {}
-
-  unsigned shards() const { return n_; }
-  unsigned shard_of(unsigned hint) const { return hint % n_; }
-
-  /// Concurrent push; returns true when shard `s` reached its adaptive
-  /// rescan point (never below `threshold`) and the caller should scan it
-  /// (and glance at a neighbour).
-  bool push(unsigned s, Node* n, std::size_t threshold) {
-    shard& sh = shards_[s];
-    Node* head = sh.head.load(std::memory_order_relaxed);
-    do {
-      n->next = head;
-    } while (!sh.head.compare_exchange_weak(head, n, std::memory_order_release,
-                                            std::memory_order_relaxed));
-    const std::size_t at =
-        std::max(sh.scan_at.load(std::memory_order_relaxed), threshold);
-    return sh.count.fetch_add(1, std::memory_order_relaxed) + 1 >= at;
-  }
-
-  std::size_t size(unsigned s) const {
-    return shards_[s].count.load(std::memory_order_relaxed);
-  }
-
-  /// Steal-scan gate: shard `s` is past its adaptive rescan point. Raw
-  /// size() is the wrong test here — a neighbour pinned by a long-lived
-  /// reservation would be re-stolen on every retire.
-  bool hot(unsigned s, std::size_t threshold) const {
-    const shard& sh = shards_[s];
-    const std::size_t at =
-        std::max(sh.scan_at.load(std::memory_order_relaxed), threshold);
-    return sh.count.load(std::memory_order_relaxed) >= at;
-  }
-
-  /// Attach the owning domain's event counters (see smr/stats.hpp).
-  void attach(domain_counters* c) { ctrs_ = c; }
-
-  /// Detach shard `s`, free every node satisfying `can_free` via `do_free`,
-  /// splice the survivors back. Safe to run concurrently with pushes and
-  /// with other scans of the same shard (the exchange hands each node to
-  /// exactly one scanner). Rearms the shard's rescan point to
-  /// 2 * kept + threshold: survivors are pinned by some reservation, so
-  /// re-examining them before the shard grows past them again is wasted
-  /// work (and turns a drain loop quadratic). `steal` marks a scan of a
-  /// shard that is not the caller's own (the steal-on-scan path) for the
-  /// observability counters.
-  template <class CanFree, class DoFree>
-  void scan(unsigned s, std::size_t threshold, CanFree&& can_free,
-            DoFree&& do_free, bool steal = false) {
-    shard& sh = shards_[s];
-    Node* n = sh.head.exchange(nullptr, std::memory_order_acquire);
-    if (n == nullptr) return;
-    obs::emit(obs::event::scan_begin, s);
-    if (steal) obs::emit(obs::event::shard_steal, s);
-    if (ctrs_ != nullptr) {
-      ctrs_->on_scan();
-      if (steal) ctrs_->on_steal();
-    }
-    Node* keep = nullptr;
-    Node* keep_tail = nullptr;
-    std::size_t freed = 0;
-    std::size_t kept = 0;
-    while (n != nullptr) {
-      Node* nx = n->next;
-      if (can_free(n)) {
-        do_free(n);
-        ++freed;
-      } else {
-        n->next = keep;
-        if (keep == nullptr) keep_tail = n;
-        keep = n;
-        ++kept;
-      }
-      n = nx;
-    }
-    if (keep != nullptr) {
-      Node* head = sh.head.load(std::memory_order_relaxed);
-      do {
-        keep_tail->next = head;
-      } while (!sh.head.compare_exchange_weak(head, keep,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed));
-    }
-    if (freed != 0) sh.count.fetch_sub(freed, std::memory_order_relaxed);
-    sh.scan_at.store(2 * kept + threshold, std::memory_order_relaxed);
-    if (ctrs_ != nullptr) ctrs_->on_rearm();
-    obs::emit(obs::event::scan_end, freed);
-  }
-
- private:
-  struct alignas(cache_line_size) shard {
-    std::atomic<Node*> head{nullptr};
-    std::atomic<std::size_t> count{0};
-    std::atomic<std::size_t> scan_at{0};  // adaptive rescan point
-  };
-
-  unsigned n_;
-  std::unique_ptr<shard[]> shards_;
   domain_counters* ctrs_ = nullptr;
 };
 

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -36,10 +35,6 @@ struct hp_config {
   /// Scan when a thread's retired list reaches this size (0 = auto:
   /// 2 * max_threads * max_hazards, the classic H·R rule).
   std::size_t scan_threshold = 0;
-  /// Retired-node sharding (see ebr_config::retire_shards). 0 = classic
-  /// per-thread lists. Hazard publication stays per-thread either way —
-  /// only the retired-node lists (and hence who reclaims them) shard.
-  unsigned retire_shards = 0;
 };
 
 class hp_domain {
@@ -69,11 +64,6 @@ class hp_domain {
       : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
     if (cfg_.scan_threshold == 0) {
       cfg_.scan_threshold = 2 * std::size_t{cfg_.max_threads} * max_hazards;
-    }
-    if (cfg_.retire_shards != 0) {
-      sharded_ =
-          std::make_unique<core::sharded_retire<node>>(cfg_.retire_shards);
-      sharded_->attach(&stats_.events);
     }
     recs_.pool()->attach(&stats_.events);
     for (rec& r : recs_) r.retired.attach(&stats_.events);
@@ -158,9 +148,6 @@ class hp_domain {
   /// Quiescent-state cleanup: with all hazards clear, one scan per thread
   /// frees everything.
   void drain() {
-    if (sharded_ != nullptr) {
-      for (unsigned s = 0; s < sharded_->shards(); ++s) scan_shard(s);
-    }
     for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
   }
 
@@ -180,17 +167,6 @@ class hp_domain {
   void retire(unsigned tid, node* n) {
     stats_.stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
-    if (sharded_ != nullptr) {
-      const unsigned s = sharded_->shard_of(tid);
-      if (sharded_->push(s, n, cfg_.scan_threshold)) {
-        scan_shard(s);
-        const unsigned nb = (s + 1) % sharded_->shards();
-        if (nb != s && sharded_->hot(nb, cfg_.scan_threshold)) {
-          scan_shard(nb, /*steal=*/true);
-        }
-      }
-      return;
-    }
     rec& r = recs_[tid];
     if (r.retired.push(n, cfg_.scan_threshold)) {
       scan(tid);
@@ -198,7 +174,7 @@ class hp_domain {
     }
   }
 
-  std::vector<void*> hazard_snapshot() const {
+  void scan(unsigned tid) {
     std::vector<void*> snapshot;
     snapshot.reserve(std::size_t{recs_.size()} * max_hazards);
     for (const rec& r : recs_) {
@@ -211,11 +187,6 @@ class hp_domain {
       }
     }
     std::sort(snapshot.begin(), snapshot.end());
-    return snapshot;
-  }
-
-  void scan(unsigned tid) {
-    std::vector<void*> snapshot = hazard_snapshot();
     recs_[tid].retired.scan(
         [&snapshot](const node* n) {
           return !std::binary_search(snapshot.begin(), snapshot.end(),
@@ -224,20 +195,8 @@ class hp_domain {
         [this](node* n) { stats_.free_node(n); });
   }
 
-  void scan_shard(unsigned s, bool steal = false) {
-    std::vector<void*> snapshot = hazard_snapshot();
-    sharded_->scan(
-        s, cfg_.scan_threshold,
-        [&snapshot](const node* n) {
-          return !std::binary_search(snapshot.begin(), snapshot.end(),
-                                     static_cast<const void*>(n));
-        },
-        [this](node* n) { stats_.free_node(n); }, steal);
-  }
-
   hp_config cfg_;
   core::thread_registry<rec> recs_;
-  std::unique_ptr<core::sharded_retire<node>> sharded_;  // null = classic
   stats stats_;
 };
 

@@ -2,22 +2,17 @@
 //
 // The paper's evaluation (§6) uses Leaky as the baseline that shows the raw
 // data-structure throughput without any SMR cost. Retired nodes are parked
-// on a Treiber stack (shardable by thread group, since the single global
-// stack head is otherwise the one contended line this no-op scheme has) and
-// released only at drain()/destruction so the test suite can still verify
-// leak-freedom.
+// on a Treiber stack and released only at drain()/destruction so the test
+// suite can still verify leak-freedom.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
-#include "common/align.hpp"
 #include "obs/trace.hpp"
 #include "smr/caps.hpp"
 #include "smr/core/node_alloc.hpp"
 #include "smr/core/retired_batch.hpp"
-#include "smr/core/thread_registry.hpp"
 #include "smr/protected_ptr.hpp"
 #include "smr/stats.hpp"
 
@@ -34,9 +29,7 @@ class leaky_domain {
   template <class T>
   using protected_ptr = raw_handle<T>;
 
-  explicit leaky_domain(unsigned /*max_threads*/ = 0,
-                        unsigned retire_shards = 0)
-      : retired_(retire_shards == 0 ? 1 : retire_shards) {}
+  explicit leaky_domain(unsigned /*max_threads*/ = 0) {}
 
   ~leaky_domain() { drain(); }
 
@@ -66,9 +59,7 @@ class leaky_domain {
       n->smr_dtor = core::dtor_thunk<T>();
       dom_.stats_.stamp_retire(static_cast<node*>(n));
       obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
-      auto& shards = dom_.retired_;
-      shards[core::thread_hint() % shards.size()].value.push(
-          static_cast<node*>(n));
+      dom_.retired_.push(static_cast<node*>(n));
     }
 
    private:
@@ -77,18 +68,16 @@ class leaky_domain {
 
   /// Releases every parked node. Quiescent use only.
   void drain() {
-    for (auto& shard : retired_) {
-      node* n = shard.value.take_all();
-      while (n != nullptr) {
-        node* nx = n->next;
-        stats_.free_node(n);
-        n = nx;
-      }
+    node* n = retired_.take_all();
+    while (n != nullptr) {
+      node* nx = n->next;
+      stats_.free_node(n);
+      n = nx;
     }
   }
 
  private:
-  std::vector<padded<core::treiber_stack<node>>> retired_;
+  core::treiber_stack<node> retired_;
   stats stats_;
 };
 

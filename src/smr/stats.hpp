@@ -7,8 +7,8 @@
 //
 // Three surfaces live here:
 //   - the original alloc/retire/free ledgers,
-//   - `domain_counters`: mechanism-level event counts (scans, steals,
-//     rearms, batch finalizes, era advances, tid acquires) bumped by the
+//   - `domain_counters`: mechanism-level event counts (scans, rearms,
+//     batch finalizes, era advances, tid acquires) bumped by the
 //     core primitives every scheme is built from, so all 12 schemes report
 //     them uniformly without per-scheme bookkeeping,
 //   - `lag_counters`: a log-bucketed retire->free lag histogram (same
@@ -23,7 +23,7 @@
 // another thread's stripe lives on, which is the no-false-sharing premise
 // of the paper's §3.3 (see common/align.hpp). Bumps stay relaxed
 // fetch_adds because threads whose hints collide share a stripe. Readers
-// (`retired.load(order)`, `events.steals.load(order)`, unreclaimed(),
+// (`retired.load(order)`, `events.scans.load(order)`, unreclaimed(),
 // snapshot()) sum the stripes one at a time, so totals read mid-run may be
 // momentarily inconsistent with each other (freed briefly above retired, a
 // histogram a few counts off its ledger); once the threads are quiescent
@@ -67,14 +67,13 @@ struct lag_counters {
 };
 
 /// One stripe: a private copy of every counter. The first cache line holds
-/// everything an untraced operation can bump; tid acquires (slow path) and
-/// the lag histogram (lag tracking on) follow.
+/// the eight event and ledger counts; the lag histogram (lag tracking on)
+/// follows.
 struct alignas(cache_line_size) stats_stripe {
   std::atomic<std::uint64_t> allocated{0};
   std::atomic<std::uint64_t> retired{0};
   std::atomic<std::uint64_t> freed{0};
   std::atomic<std::uint64_t> scans{0};      // reclamation passes over a retired set
-  std::atomic<std::uint64_t> steals{0};     // scans of a neighbour's shard
   std::atomic<std::uint64_t> rearms{0};     // adaptive rescan-point resets
   std::atomic<std::uint64_t> finalizes{0};  // Hyaline batch finalizations
   std::atomic<std::uint64_t> era_advances{0};
@@ -107,7 +106,7 @@ class striped_total {
 };
 
 /// Mechanism-level event counters, bumped (relaxed) by the core retired-set
-/// primitives and the schemes' steal/finalize call sites into the calling
+/// primitives and the schemes' finalize call sites into the calling
 /// thread's stripe of the owning `stats`. Monotone statistics only — never
 /// synchronization.
 class domain_counters {
@@ -117,7 +116,6 @@ class domain_counters {
   explicit domain_counters(stats_stripe* stripes)
       : stripes_(stripes),
         scans(stripes),
-        steals(stripes),
         rearms(stripes),
         finalizes(stripes),
         era_advances(stripes),
@@ -126,14 +124,12 @@ class domain_counters {
   domain_counters& operator=(const domain_counters&) = delete;
 
   striped_total<&stats_stripe::scans> scans;
-  striped_total<&stats_stripe::steals> steals;
   striped_total<&stats_stripe::rearms> rearms;
   striped_total<&stats_stripe::finalizes> finalizes;
   striped_total<&stats_stripe::era_advances> era_advances;
   striped_total<&stats_stripe::tid_acquires> tid_acquires;
 
   void on_scan() { bump(&stats_stripe::scans); }
-  void on_steal() { bump(&stats_stripe::steals); }
   void on_rearm() { bump(&stats_stripe::rearms); }
   void on_finalize() { bump(&stats_stripe::finalizes); }
   void on_era_advance() { bump(&stats_stripe::era_advances); }
@@ -152,7 +148,7 @@ struct stats_snapshot {
   std::uint64_t retired = 0;
   std::uint64_t freed = 0;
   std::uint64_t scans = 0;
-  std::uint64_t steals = 0;
+  std::uint64_t steals = 0;  // always 0; perfbench/bench.cpp still reads it
   std::uint64_t rearms = 0;
   std::uint64_t finalizes = 0;
   std::uint64_t era_advances = 0;
@@ -167,7 +163,6 @@ struct stats_snapshot {
     retired += o.retired;
     freed += o.freed;
     scans += o.scans;
-    steals += o.steals;
     rearms += o.rearms;
     finalizes += o.finalizes;
     era_advances += o.era_advances;
@@ -253,7 +248,6 @@ class stats {
       t.retired += s.retired.load(std::memory_order_relaxed);
       t.freed += s.freed.load(std::memory_order_relaxed);
       t.scans += s.scans.load(std::memory_order_relaxed);
-      t.steals += s.steals.load(std::memory_order_relaxed);
       t.rearms += s.rearms.load(std::memory_order_relaxed);
       t.finalizes += s.finalizes.load(std::memory_order_relaxed);
       t.era_advances += s.era_advances.load(std::memory_order_relaxed);

@@ -6,19 +6,13 @@
 // scans or finalizes fails here, not in a plot review.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "ds/michael_hashmap.hpp"
 #include "harness/registry.hpp"
 #include "harness/schemes.hpp"
 #include "obs/trace.hpp"
-#include "smr/core/retired_batch.hpp"
-#include "smr/ebr.hpp"
-#include "smr/stats.hpp"
 
 namespace hyaline {
 namespace {
@@ -163,98 +157,6 @@ TEST_F(ObsTraceTest, HyalineRunReportsBatchFinalizes) {
   const harness::workload_result r = run_cell("Hyaline");
   EXPECT_GT(r.obs.finalizes, 0u);
   EXPECT_GT(r.obs.freed, 0u);
-}
-
-TEST_F(ObsTraceTest, ShardedScanStealAttributionAndEvents) {
-  struct test_node {
-    test_node* next = nullptr;
-  };
-  smr::stats st;
-  smr::domain_counters& ctrs = st.events;
-  smr::core::sharded_retire<test_node> shards(2);
-  shards.attach(&ctrs);
-
-  std::vector<test_node> nodes(8);
-  for (auto& n : nodes) shards.push(1, &n, 100);
-
-  obs::set_ring_capacity(64);
-  obs::set_tracing(true);
-  // Scanning a shard that is not the caller's own is the steal path.
-  std::size_t freed = 0;
-  shards.scan(
-      1, 100, [](const test_node*) { return true; },
-      [&freed](test_node*) { ++freed; }, /*steal=*/true);
-  obs::set_tracing(false);
-
-  EXPECT_EQ(freed, nodes.size());
-  EXPECT_EQ(ctrs.scans.load(std::memory_order_relaxed), 1u);
-  EXPECT_EQ(ctrs.steals.load(std::memory_order_relaxed), 1u);
-  EXPECT_EQ(ctrs.rearms.load(std::memory_order_relaxed), 1u);
-
-  // The steal-scan leaves exactly one well-formed event triple behind:
-  // the paired scan window with the steal marker inside it.
-  const auto merged = obs::merged_records();
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(static_cast<obs::event>(merged[0].ev), obs::event::scan_begin);
-  EXPECT_EQ(static_cast<obs::event>(merged[1].ev), obs::event::shard_steal);
-  EXPECT_EQ(static_cast<obs::event>(merged[2].ev), obs::event::scan_end);
-  EXPECT_EQ(merged[0].arg, 1u);            // shard index scanned
-  EXPECT_EQ(merged[1].arg, 1u);            // shard index stolen from
-  EXPECT_EQ(merged[2].arg, nodes.size());  // nodes freed by the scan
-}
-
-TEST_F(ObsTraceTest, EbrShardedStealsFireUnderAPinnedEpoch) {
-  // A guard held open pins the epoch: nothing can be freed, both shards
-  // grow hot, and the retire path's neighbour glance must eventually take
-  // the steal-scan branch. Deadline-bounded so a scheduling fluke shows
-  // up as a clear failure, not a hang.
-  smr::ebr_domain dom(smr::ebr_config{
-      .max_threads = 6, .entry_burst = 0, .retire_shards = 2});
-  ds::michael_hashmap<smr::ebr_domain> map(dom, 64);
-
-  std::atomic<bool> pinned{false};
-  std::atomic<bool> release{false};
-  std::thread pinner([&] {
-    smr::ebr_domain::guard g(dom);
-    pinned.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (!pinned.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> churners;
-  for (unsigned t = 0; t < 3; ++t) {
-    churners.emplace_back([&, t] {
-      std::uint64_t k = t * 1000;
-      while (!stop.load(std::memory_order_relaxed)) {
-        smr::ebr_domain::guard g(dom);
-        map.insert(g, k, k);
-        map.remove(g, k);  // each remove retires a node
-        ++k;
-      }
-    });
-  }
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (dom.counters().events.steals.load(std::memory_order_relaxed) ==
-             0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  stop.store(true, std::memory_order_relaxed);
-  release.store(true, std::memory_order_release);
-  for (auto& th : churners) th.join();
-  pinner.join();
-
-  EXPECT_GT(dom.counters().events.steals.load(std::memory_order_relaxed),
-            0u)
-      << "no steal-scan within the deadline despite both shards growing "
-         "under a pinned epoch";
 }
 
 }  // namespace

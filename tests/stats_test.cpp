@@ -48,7 +48,6 @@ TEST(StripedStats, SharedStripesStayExactAtQuiescence) {
       st.on_retire();
       st.on_free();
       st.events.on_scan();
-      st.events.on_steal();
       st.events.on_rearm();
       st.events.on_finalize();
       st.events.on_era_advance();
@@ -65,7 +64,6 @@ TEST(StripedStats, SharedStripesStayExactAtQuiescence) {
   EXPECT_EQ(st.retired.load(std::memory_order_relaxed), n + 2 * kThreads);
   EXPECT_EQ(st.freed.load(std::memory_order_relaxed), n);
   EXPECT_EQ(st.events.scans.load(std::memory_order_relaxed), n);
-  EXPECT_EQ(st.events.steals.load(std::memory_order_relaxed), n);
   EXPECT_EQ(st.events.rearms.load(std::memory_order_relaxed), n);
   EXPECT_EQ(st.events.finalizes.load(std::memory_order_relaxed), n);
   EXPECT_EQ(st.events.era_advances.load(std::memory_order_relaxed), n);
@@ -86,7 +84,6 @@ TEST(StripedStats, SharedStripesStayExactAtQuiescence) {
   EXPECT_EQ(s.retired, n + 2 * kThreads);
   EXPECT_EQ(s.freed, n);
   EXPECT_EQ(s.scans, n);
-  EXPECT_EQ(s.steals, n);
   EXPECT_EQ(s.rearms, n);
   EXPECT_EQ(s.finalizes, n);
   EXPECT_EQ(s.era_advances, n);
