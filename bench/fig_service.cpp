@@ -321,11 +321,10 @@ int main(int argc, char** argv) {
     rep.res = find_service_runner(name)(p, cfg);
     const service_result& r = rep.res;
 
-    if (r.retired != r.freed) {
-      std::fprintf(stderr,
-                   "%s: leak — retired %llu, freed %llu after shutdown\n",
-                   name.c_str(), static_cast<unsigned long long>(r.retired),
-                   static_cast<unsigned long long>(r.freed));
+    if (const std::string bad = harness::ledger_violation(
+            harness::run_ledger{.retired = r.retired, .freed = r.freed});
+        !bad.empty()) {
+      std::fprintf(stderr, "%s: %s\n", name.c_str(), bad.c_str());
       return 3;
     }
 

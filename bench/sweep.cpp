@@ -244,13 +244,12 @@ int main(int argc, char** argv) {
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
 
       const workload_result r = run(p, cfg);
-      if (r.retired != r.freed) {
+      if (const std::string bad = harness::ledger_violation(r);
+          !bad.empty()) {
         std::fprintf(stderr,
-                     "%s x %s [%s]: leak — retired %llu, freed %llu; "
-                     "numbers recorded but untrustworthy\n",
-                     scheme.name.c_str(), structure, lc.name,
-                     static_cast<unsigned long long>(r.retired),
-                     static_cast<unsigned long long>(r.freed));
+                     "%s x %s [%s]: %s; numbers recorded but "
+                     "untrustworthy\n",
+                     scheme.name.c_str(), structure, lc.name, bad.c_str());
         status = 4;
       }
       points.push_back({lc.name, structure, scheme.name, o.threads, r.mops,

@@ -141,25 +141,12 @@ int run_matrix(const cli_options& o, const lab::fault_plan& plan,
           1e3;
       ++cells;
 
-      bool gate_bad = false;
-      if (container && r.enqueued != r.dequeued + r.drained) {
-        std::fprintf(stderr,
-                     "%s: conservation violated — pushed %llu != popped "
-                     "%llu + drained %llu\n",
-                     where.c_str(),
-                     static_cast<unsigned long long>(r.enqueued),
-                     static_cast<unsigned long long>(r.dequeued),
-                     static_cast<unsigned long long>(r.drained));
-        gate_bad = true;
+      const std::string ledger = harness::ledger_violation(r);
+      const bool gate_bad = !ledger.empty();
+      if (gate_bad) {
+        std::fprintf(stderr, "%s: %s\n", where.c_str(), ledger.c_str());
+        if (status == 0) status = kExitGate;
       }
-      if (r.retired != r.freed) {
-        std::fprintf(stderr, "%s: leak — retired %llu, freed %llu\n",
-                     where.c_str(),
-                     static_cast<unsigned long long>(r.retired),
-                     static_cast<unsigned long long>(r.freed));
-        gate_bad = true;
-      }
-      if (gate_bad && status == 0) status = kExitGate;
       if (!res.ok) {
         sink.report(where, *res.bad);
         status = kExitViolation;

@@ -262,6 +262,18 @@ bool validate_scheme_filter(const cli_options& o,
   return true;
 }
 
+/// The figures' ledger gate: a cell whose ledger does not close reports
+/// the violation and the figure exits 3 instead of printing a plausible
+/// row.
+bool ledger_closes(const workload_result& r, const std::string& scheme,
+                   const char* structure, unsigned threads) {
+  const std::string bad = ledger_violation(r);
+  if (bad.empty()) return true;
+  std::fprintf(stderr, "%s x %s (%u threads): %s\n", scheme.c_str(),
+               structure, threads, bad.c_str());
+  return false;
+}
+
 int run_matrix(const figure_spec& spec, const cli_options& o,
                figure_sink& sink) {
   const scheme_registry& reg = scheme_registry::instance();
@@ -311,6 +323,7 @@ int run_matrix(const figure_spec& spec, const cli_options& o,
         cfg.key_range = so.key_range;
         cfg.prefill = so.prefill;
         const workload_result r = run(p, cfg);
+        if (!ledger_closes(r, scheme, st.structure, t)) return 3;
         sink.row(st.structure, scheme.c_str(), t, cfg.stalled_threads, 0, 0,
                  r);
       }
@@ -369,6 +382,7 @@ int run_robustness(const figure_spec& spec, const cli_options& o,
         continue;
       }
       const workload_result r = run(p, cfg);
+      if (!ledger_closes(r, row.label, "hashmap", active)) return 3;
       sink.row("hashmap", row.label, active, stalled, 0, 0, r);
     }
   }
@@ -415,6 +429,7 @@ int run_trim(const figure_spec& spec, const cli_options& o,
         continue;
       }
       const workload_result r = run(p, cfg);
+      if (!ledger_closes(r, row.label, "hashmap", t)) return 3;
       sink.row("hashmap", row.label, t, 0, 0, 0, r);
     }
   }
@@ -459,27 +474,7 @@ int run_container(const figure_spec& spec, const cli_options& o,
         scheme_params p;
         p.max_threads = cfg.threads;
         const workload_result r = run(p, cfg);
-        if (r.enqueued != r.dequeued + r.drained) {
-          std::fprintf(stderr,
-                       "%s x %s (%up/%uc): conservation violated — "
-                       "pushed %llu != popped %llu + drained %llu\n",
-                       scheme.c_str(), structure, cfg.producers,
-                       cfg.consumers,
-                       static_cast<unsigned long long>(r.enqueued),
-                       static_cast<unsigned long long>(r.dequeued),
-                       static_cast<unsigned long long>(r.drained));
-          return 3;
-        }
-        if (r.retired != r.freed) {
-          std::fprintf(stderr,
-                       "%s x %s (%up/%uc): leak — retired %llu, freed "
-                       "%llu after drain\n",
-                       scheme.c_str(), structure, cfg.producers,
-                       cfg.consumers,
-                       static_cast<unsigned long long>(r.retired),
-                       static_cast<unsigned long long>(r.freed));
-          return 3;
-        }
+        if (!ledger_closes(r, scheme, structure, cfg.threads)) return 3;
         sink.row(structure, scheme.c_str(), cfg.threads, 0, cfg.producers,
                  cfg.consumers, r);
       }
@@ -492,8 +487,8 @@ int run_container(const figure_spec& spec, const cli_options& o,
 /// scripted faults, time-series telemetry. Every robust scheme's series
 /// is recovery-checked — after the last fault clears, unreclaimed must
 /// return to within 2x its pre-fault baseline (lab::check_recovery) —
-/// and container runs keep the conservation/leak gates of run_container,
-/// so a timeline run is a correctness check, not just a plot.
+/// and every run keeps the ledger gate of the other figures, so a
+/// timeline run is a correctness check, not just a plot.
 int run_timeline(const figure_spec& spec, const cli_options& o,
                  figure_sink& sink) {
   const scheme_registry& reg = scheme_registry::instance();
@@ -585,27 +580,7 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
         reg.runner(scheme, structure)(p, cfg);
     const thread_split split =
         container ? container_split(cfg) : thread_split{};
-    if (container) {
-      if (r.enqueued != r.dequeued + r.drained) {
-        std::fprintf(stderr,
-                     "%s x %s: conservation violated — pushed %llu != "
-                     "popped %llu + drained %llu\n",
-                     scheme.c_str(), structure.c_str(),
-                     static_cast<unsigned long long>(r.enqueued),
-                     static_cast<unsigned long long>(r.dequeued),
-                     static_cast<unsigned long long>(r.drained));
-        return 3;
-      }
-      if (r.retired != r.freed) {
-        std::fprintf(stderr,
-                     "%s x %s: leak — retired %llu, freed %llu after "
-                     "drain\n",
-                     scheme.c_str(), structure.c_str(),
-                     static_cast<unsigned long long>(r.retired),
-                     static_cast<unsigned long long>(r.freed));
-        return 3;
-      }
-    }
+    if (!ledger_closes(r, scheme, structure.c_str(), threads)) return 3;
     sink.row(structure.c_str(), scheme.c_str(), threads, 0,
              split.producers, split.consumers, r);
     sink.add_timeline(structure.c_str(), scheme.c_str(), r.timeline);

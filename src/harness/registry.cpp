@@ -4,9 +4,9 @@
 #include "harness/registry.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "ds/bonsai_tree.hpp"
-#include "lab/telemetry.hpp"
 #include "ds/harris_list.hpp"
 #include "ds/hm_list.hpp"
 #include "ds/locked_queue.hpp"
@@ -47,11 +47,7 @@ void capture_counters(workload_result& r, const smr::stats& st) {
   r.obs = st.snapshot();
   r.retired = r.obs.retired;
   r.freed = r.obs.freed;
-  const auto lagh =
-      lab::latency_histogram::from_counts(r.obs.lag_bucket, r.obs.lag_max_ns);
-  r.lag_p50_ns = lagh.percentile(0.50);
-  r.lag_p99_ns = lagh.percentile(0.99);
-  r.lag_max_ns = r.obs.lag_max_ns;
+  fill_lag_percentiles(r);
 }
 
 /// One benchmark run over a concrete (scheme, structure) pair. Teardown
@@ -155,6 +151,34 @@ scheme_registry::entry make_entry(const char* name, entry_opts opts = {}) {
 }
 
 }  // namespace
+
+std::string ledger_violation(const run_ledger& l) {
+  std::string out;
+  char buf[160];
+  if (l.enqueued != l.dequeued + l.drained) {
+    std::snprintf(buf, sizeof buf,
+                  "conservation violated — pushed %llu != popped %llu + "
+                  "drained %llu",
+                  static_cast<unsigned long long>(l.enqueued),
+                  static_cast<unsigned long long>(l.dequeued),
+                  static_cast<unsigned long long>(l.drained));
+    out = buf;
+  }
+  if (l.retired != l.freed) {
+    std::snprintf(buf, sizeof buf,
+                  "leak — retired %llu, freed %llu after drain",
+                  static_cast<unsigned long long>(l.retired),
+                  static_cast<unsigned long long>(l.freed));
+    if (!out.empty()) out += "; ";
+    out += buf;
+  }
+  return out;
+}
+
+std::string ledger_violation(const workload_result& r) {
+  return ledger_violation(
+      run_ledger{r.retired, r.freed, r.enqueued, r.dequeued, r.drained});
+}
 
 runner_fn scheme_registry::entry::runner_for(
     std::string_view structure) const {

@@ -21,6 +21,7 @@
 //     including the robust ones harris excludes.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -75,6 +76,24 @@ enum class container_order {
   fifo,  ///< queue: strict arrival order (ms_queue)
   lifo,  ///< stack: strict reverse arrival order (treiber_stack)
 };
+
+/// The end-of-run ledger every cell must close: retired == freed after
+/// the quiescent drain, and for containers enqueued == dequeued + drained
+/// (all zero for sets and the service).
+struct run_ledger {
+  std::uint64_t retired = 0;
+  std::uint64_t freed = 0;
+  std::uint64_t enqueued = 0;
+  std::uint64_t dequeued = 0;
+  std::uint64_t drained = 0;
+};
+
+/// The one ledger check every driver applies to every cell: empty when
+/// the ledger closes, else the violation text (both imbalances when both
+/// occur) for the caller to prefix with its cell and exit on. A leaking
+/// cell must never print a plausible row.
+std::string ledger_violation(const run_ledger& l);
+std::string ledger_violation(const workload_result& r);
 
 class scheme_registry {
  public:

@@ -1,5 +1,7 @@
-// Workload driver: a reimplementation of the measurement loop of the test
-// framework the paper uses (Wen et al. [35]).
+// Workload drivers: the op sources of the paper's measurement loop
+// (Wen et al. [35]) over the one run engine (harness/engine.hpp), which
+// owns the lifecycle — flags, fault director, telemetry, spawn/join,
+// teardown order, and the duration / op-budget wait.
 //
 // Per data point (paper §6): prefill the structure with `prefill` elements,
 // run `threads` worker threads for `duration_ms`, each performing randomly
@@ -14,25 +16,25 @@
 //     Internally this is the degenerate case `stall:tid@0+inf` of the
 //     robustness lab's fault plans (lab/fault_plan.hpp);
 //   - faults / sample_ms: the robustness lab (fig_timeline) — a scripted
-//     schedule of transient faults executed by a lab clock thread that
-//     the loops below poll at operation boundaries, and a telemetry
-//     sampler producing the time series in workload_result::timeline;
-//   - use_trim: hold one guard per thread and trim() after every operation
-//     instead of leave+enter (the Figure 10b trimming experiment).
+//     schedule of transient faults the engine polls at operation
+//     boundaries, and a telemetry sampler producing the time series in
+//     workload_result::timeline;
+//   - use_trim: hold one guard across many operations and trim() after
+//     each instead of leave+enter (the Figure 10b trimming experiment).
 //
 // Container workloads (fig_queue) run through run_container_workload
 // instead: an asymmetric producer/consumer split over a FIFO queue or
 // stack, where every successful operation allocates or retires a node.
 // Accounting is exact — pushed items (prefill included), popped items, and
 // the residual drained at the end must balance (the conservation
-// invariant checked by the registry runners and tests).
+// invariant checked by the registry's ledger_violation and tests).
 //
-// Every loop also samples per-op latency (one in kLatencyEvery operations
-// is timed around its guard + operation) into a shared log-bucketed
+// Both sources sample per-op latency (one in lat_sample operations is
+// timed around its guard + operation) into a shared log-bucketed
 // histogram; the p50/p90/p99/max land in every workload_result.
 //
 // Correctness oracle (src/check): when workload_config::history is set,
-// every operation both loops perform — prefill and the container drain
+// every operation both sources perform — prefill and the container drain
 // included — is recorded as a timestamped invocation/response interval
 // with its result, feeding the linearizability checker. Benchmark runs
 // leave it null and pay one predicted-not-taken branch per operation.
@@ -42,19 +44,17 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
-#include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "check/history.hpp"
 #include "common/rng.hpp"
+#include "harness/engine.hpp"
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "smr/stats.hpp"
 
 namespace hyaline::harness {
@@ -162,10 +162,33 @@ struct workload_result {
 /// True iff the op-mix percentages cover exactly the whole dice range.
 /// A mix that does not sum to 100 silently skews the distribution (the
 /// remainder falls through to get), so drivers reject it up front. Summed
-/// in 64 bits so overflowing values cannot wrap back to 100.
-constexpr bool valid_mix(const workload_config& cfg) {
+/// in 64 bits so overflowing values cannot wrap back to 100. One check for
+/// every keyed config (workload_config, svc::service_config).
+template <class Cfg>
+constexpr bool valid_mix(const Cfg& cfg) {
   return std::uint64_t{cfg.insert_pct} + cfg.remove_pct + cfg.get_pct ==
          100;
+}
+
+/// The one mapping from a dice roll in [0, 100) to a keyed operation:
+/// [0, insert) inserts, [insert, insert + remove) removes, the rest reads.
+template <class Cfg>
+constexpr check::op_kind op_for_dice(const Cfg& cfg, std::uint64_t dice) {
+  return dice < cfg.insert_pct                    ? check::op_kind::insert
+         : dice < cfg.insert_pct + cfg.remove_pct ? check::op_kind::remove
+                                                  : check::op_kind::contains;
+}
+
+/// Rehydrate `r.obs`'s retire->free lag buckets into the lag p50/p99/max
+/// columns through the shared histogram math (zero when lag tracking was
+/// off). One copy for workload_result and svc::service_result.
+template <class R>
+void fill_lag_percentiles(R& r) {
+  const auto lagh =
+      lab::latency_histogram::from_counts(r.obs.lag_bucket, r.obs.lag_max_ns);
+  r.lag_p50_ns = lagh.percentile(0.50);
+  r.lag_p99_ns = lagh.percentile(0.99);
+  r.lag_max_ns = r.obs.lag_max_ns;
 }
 
 namespace detail {
@@ -219,130 +242,84 @@ void quiesce_thread(D& dom) {
 template <class G>
 concept has_trim = requires(G g) { g.trim(); };
 
-/// Relaxed monotone max — the peak counter is a statistic, not
-/// synchronization (same stance as smr::stats).
-inline void atomic_max(std::atomic<std::uint64_t>& m, std::uint64_t v) {
-  std::uint64_t cur = m.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
+/// The history log of thread `tid`, or nullptr when the oracle is off.
+inline check::thread_log* log_for(const workload_config& cfg, unsigned tid) {
+  return cfg.history != nullptr ? &cfg.history->attach(tid) : nullptr;
 }
 
-/// Per-repetition shared counters every worker thread updates.
-struct rep_counters {
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<std::uint64_t> sample_sum{0};
-  std::atomic<std::uint64_t> sample_cnt{0};
-
-  /// Record one unreclaimed-counter observation (worker-side); the
-  /// worker's running peak stays thread-local until merged at exit.
-  void sample(std::uint64_t unreclaimed, std::uint64_t& local_peak) {
-    if (unreclaimed > local_peak) local_peak = unreclaimed;
-    sample_sum.fetch_add(unreclaimed, std::memory_order_relaxed);
-    sample_cnt.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-/// Cross-repetition accumulator shared by both workload drivers, so the
-/// mops / unreclaimed_avg / unreclaimed_peak columns keep exactly one
-/// meaning however the figure was produced.
-struct run_stats {
-  double mops_sum = 0;
-  double unrecl_sum = 0;
-  std::uint64_t ops_total = 0;
-  std::atomic<std::uint64_t> peak{0};
-
-  /// Fold one repetition in. `end_unreclaimed` backs the too-short-run
-  /// fallback: a repetition that never reached a sampling point
-  /// contributes one end-of-run observation to both statistics.
-  void finish_rep(rep_counters& c, double secs,
-                  std::uint64_t end_unreclaimed) {
-    const std::uint64_t n = c.ops.load(std::memory_order_relaxed);
-    ops_total += n;
-    mops_sum += static_cast<double>(n) / secs / 1e6;
-    const std::uint64_t cnt = c.sample_cnt.load(std::memory_order_relaxed);
-    if (cnt == 0) {
-      atomic_max(peak, end_unreclaimed);
-      unrecl_sum += static_cast<double>(end_unreclaimed);
-    } else {
-      unrecl_sum += static_cast<double>(
-                        c.sample_sum.load(std::memory_order_relaxed)) /
-                    static_cast<double>(cnt);
-    }
-  }
-
-  void fill(workload_result& r, unsigned repeats) const {
-    r.mops = mops_sum / repeats;
-    r.unreclaimed_avg = unrecl_sum / repeats;
-    r.unreclaimed_peak = peak.load(std::memory_order_relaxed);
-    r.total_ops = ops_total;
-  }
-};
-
-/// Sleep out one repetition: the full duration, or — on op-budget runs —
-/// until every worker has published its budgeted count (workers publish
-/// at exit), whichever comes first. Budgeted tests then cost their op
-/// count, not their worst-case wall clock.
-inline void wait_rep_end(std::chrono::steady_clock::time_point t0,
-                         const workload_config& cfg,
-                         unsigned total_threads,
-                         const rep_counters& counters) {
-  const auto deadline = t0 + std::chrono::milliseconds(cfg.duration_ms);
-  if (cfg.op_limit == 0) {
-    std::this_thread::sleep_until(deadline);
-    return;
-  }
-  const std::uint64_t target = std::uint64_t{total_threads} * cfg.op_limit;
-  while (std::chrono::steady_clock::now() < deadline &&
-         counters.ops.load(std::memory_order_relaxed) < target) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+/// Run `f`, timing it into `h` when it is a sampled op (op index `i`, one
+/// in `every`). The clock reads stay off the unsampled ops; `f` has one
+/// call site so it inlines as the untimed op would.
+template <class F>
+void timed_op(std::uint64_t i, std::uint64_t every, lab::latency_histogram& h,
+              F&& f) {
+  const bool timed = i % every == 0;
+  const auto t = timed ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{};
+  f();
+  if (timed) h.record(ns_since(t));
 }
 
-inline std::uint64_t ns_since(std::chrono::steady_clock::time_point t) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t)
-          .count());
-}
-
-/// Shared run-level lab state for one workload invocation: the merged
-/// latency histogram plus the (per-repetition) fault director and
-/// telemetry collector, so both workload drivers wire the hooks the same
-/// way.
-struct lab_state {
+/// The run-level latency histogram both sources merge into at thread exit.
+struct latency_sink {
   lab::latency_histogram hist;
-  std::mutex hist_mu;
-  lab::fault_director* dir = nullptr;
-  lab::telemetry_collector* tele = nullptr;
+  std::mutex mu;
 
-  void merge_hist(const lab::latency_histogram& local) {
-    std::lock_guard<std::mutex> lk(hist_mu);
+  void merge(const lab::latency_histogram& local) {
+    std::lock_guard<std::mutex> lk(mu);
     hist.merge(local);
-  }
-
-  void fill(workload_result& r) const {
-    r.p50_ns = hist.percentile(0.50);
-    r.p90_ns = hist.percentile(0.90);
-    r.p99_ns = hist.percentile(0.99);
-    r.max_ns = hist.max();
   }
 };
 
 /// The user's fault plan plus the legacy permanently-stalled extras,
-/// expressed as what they are: workers that stall at t=0 forever.
-inline lab::fault_plan effective_plan(const workload_config& cfg) {
+/// expressed as what they are: workers above the first `workers` tids
+/// that stall at t=0 forever.
+inline lab::fault_plan effective_plan(const workload_config& cfg,
+                                      unsigned workers) {
   lab::fault_plan plan;
   if (cfg.faults != nullptr) plan = *cfg.faults;
   for (unsigned i = 0; i < cfg.stalled_threads; ++i) {
     lab::fault_event e;
     e.kind = lab::fault_kind::stall;
-    e.tid = cfg.threads + i;
+    e.tid = workers + i;
     e.start_ms = 0;
     e.dur_ms = std::numeric_limits<double>::infinity();
     plan.events.push_back(e);
   }
   return plan;
+}
+
+/// The engine run for `workers` op-source threads plus the stalled extras
+/// over domain `dom`.
+template <class D>
+engine_config engine_config_of(const workload_config& cfg, unsigned workers,
+                               const lab::fault_plan& plan, D& dom) {
+  engine_config ec;
+  ec.workers = workers + cfg.stalled_threads;
+  ec.repeats = cfg.repeats;
+  ec.duration_ms = cfg.duration_ms;
+  ec.op_limit = cfg.op_limit;
+  ec.sample_every = cfg.sample_every;
+  ec.sample_ms = cfg.sample_ms;
+  ec.seed = cfg.seed;
+  ec.faults = &plan;
+  ec.stats = {&dom.counters()};
+  return ec;
+}
+
+inline workload_result to_result(engine_result&& er,
+                                 const lab::latency_histogram& h) {
+  workload_result r;
+  r.mops = er.mops;
+  r.unreclaimed_avg = er.unreclaimed_avg;
+  r.unreclaimed_peak = er.unreclaimed_peak;
+  r.total_ops = er.total_ops;
+  r.p50_ns = h.percentile(0.50);
+  r.p90_ns = h.percentile(0.90);
+  r.p99_ns = h.percentile(0.99);
+  r.max_ns = h.max();
+  r.timeline = std::move(er.timeline);
+  return r;
 }
 
 }  // namespace detail
@@ -375,9 +352,7 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
 
   // --- prefill (quiescent) ---------------------------------------------
   {
-    check::thread_log* plog =
-        cfg.history != nullptr ? &cfg.history->attach(check::kMainTid)
-                               : nullptr;
+    check::thread_log* plog = detail::log_for(cfg, check::kMainTid);
     xoshiro256 rng(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
     std::size_t live = 0;
     while (live < cfg.prefill) {
@@ -394,243 +369,83 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
     detail::quiesce_thread(dom);
   }
 
-  detail::run_stats stats;
-  detail::lab_state lab;
-  const lab::fault_plan plan = detail::effective_plan(cfg);
-  const unsigned total_threads = cfg.threads + cfg.stalled_threads;
-  std::vector<lab::sample_point> timeline;
-
-  for (unsigned rep = 0; rep < cfg.repeats; ++rep) {
-    std::atomic<bool> start{false};
-    std::atomic<bool> stop{false};
-    detail::rep_counters counters;
-
-    auto worker = [&](unsigned tid, std::uint32_t gen) {
-      xoshiro256 rng(cfg.seed + tid * 1000003 + rep * 7919);
-      check::thread_log* hlog =
-          cfg.history != nullptr ? &cfg.history->attach(tid) : nullptr;
-      lab::latency_histogram lhist;
-      std::uint64_t local_ops = 0;
-      std::uint64_t local_peak = 0;
-      auto kind_of = [&](std::uint64_t dice) {
-        return dice < cfg.insert_pct ? check::op_kind::insert
-               : dice < cfg.insert_pct + cfg.remove_pct
-                   ? check::op_kind::remove
-                   : check::op_kind::contains;
-      };
-      auto dispatch = [&](guard_t& g, std::uint64_t key,
-                          check::op_kind kind) -> bool {
+  const lab::fault_plan plan = detail::effective_plan(cfg, cfg.threads);
+  detail::latency_sink lat;
+  auto keyed = [&](worker& w) {
+    xoshiro256 rng(w.seed());
+    check::thread_log* hlog = detail::log_for(cfg, w.tid);
+    lab::latency_histogram lhist;
+    // The op plus (when the oracle is on) one history record around
+    // it: the interval is taken tightly around the call, inside the
+    // guard, so it contains the linearization point and nothing else.
+    auto apply = [&](guard_t& g, check::op_kind kind, std::uint64_t key) {
+      return detail::record_op(hlog, kind, [&] {
         switch (kind) {
           case check::op_kind::insert:
-            return s.insert(g, key, key);
+            return std::pair{s.insert(g, key, key), key};
           case check::op_kind::remove:
-            return s.remove(g, key);
+            return std::pair{s.remove(g, key), key};
           default:
-            return s.contains(g, key);
+            return std::pair{s.contains(g, key), key};
         }
-      };
-      // dispatch plus (when the oracle is on) one history record around
-      // it: the interval is taken tightly around the call, inside the
-      // guard, so it contains the linearization point and nothing else.
-      auto apply = [&](guard_t& g, check::op_kind kind,
-                       std::uint64_t key) -> bool {
-        return detail::record_op(hlog, kind, [&] {
-          return std::pair{dispatch(g, key, kind), key};
-        });
-      };
-      auto after_op = [&] {
-        ++local_ops;
-        if (lab.tele != nullptr) lab.tele->on_op(tid);
-        if (local_ops % cfg.sample_every == 0) {
-          counters.sample(dom.counters().unreclaimed(), local_peak);
-        }
-      };
-      /// Op-budget check, at the same boundaries as the stop flag.
-      auto within_limit = [&] {
-        return cfg.op_limit == 0 || local_ops < cfg.op_limit;
-      };
-      // One claimed burst unit: remove a random key (a successful remove
-      // retires its node) and reinsert to hold the size at equilibrium.
-      auto burst_pair = [&](guard_t& g) {
-        const std::uint64_t key = rng.below(cfg.key_range);
-        if (apply(g, check::op_kind::remove, key)) {
-          apply(g, check::op_kind::insert, key);
-        }
-      };
-      if (lab.tele != nullptr) lab.tele->thread_enter();
-      while (!start.load(std::memory_order_acquire)) {
-      }
-      // Each worker completes at least one op before honoring `stop`:
-      // under heavy instrumentation (TSan) on a loaded machine the
-      // duration deadline can expire before a worker is first
-      // scheduled, and a zero-op rep is indistinguishable from a hang
-      // to the validators downstream. Only for fault-free runs: a
-      // worker stalled by the director at t=0 never counts an op, so
-      // the guarantee would turn its release into a spin.
-      auto keep_going = [&] {
-        return ((local_ops == 0 && lab.dir == nullptr) ||
-                !stop.load(std::memory_order_relaxed)) &&
-               within_limit();
-      };
-      if (!cfg.use_trim) {
-        while (keep_going()) {
-          if (lab.dir != nullptr) {
-            if (lab.dir->exited(tid, gen)) break;
-            if (lab.dir->stalled(tid)) {
-              // The paper's stalled-thread protocol: enter, touch one
-              // node, block holding the guard for the stall window.
-              guard_t g(dom);
-              apply(g, check::op_kind::contains, rng.below(cfg.key_range));
-              obs::emit(obs::event::stall_begin, tid);
-              lab.dir->wait_stall_end(tid);
-              obs::emit(obs::event::stall_end, tid);
-              continue;
-            }
-            if (const std::uint32_t us = lab.dir->slow_delay_us(tid)) {
-              std::this_thread::sleep_for(std::chrono::microseconds(us));
-            }
-            for (std::uint64_t n = lab.dir->claim_burst(128);
-                 n != 0 && !stop.load(std::memory_order_relaxed) &&
-                 within_limit();
-                 --n) {
-              guard_t g(dom);
-              burst_pair(g);
-              after_op();
-            }
-          }
-          const std::uint64_t key = rng.below(cfg.key_range);
-          const auto kind = kind_of(rng.below(100));
-          const bool timed = local_ops % cfg.lat_sample == 0;
-          const auto t_op = timed ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-          {
-            guard_t g(dom);
-            apply(g, kind, key);
-          }
-          if (timed) lhist.record(detail::ns_since(t_op));
-          after_op();
-        }
-      } else {
-        // Trimming mode (§3.3): one guard spans many operations; trim()
-        // after each op reclaims without touching Head. Re-enter
-        // periodically to bound the retirement sublists. Fault polls
-        // happen under the held guard (a stall here pins exactly what
-        // the long-lived guard pins).
-        constexpr std::uint64_t regrip_every = 1024;
-        while (keep_going()) {
-          if (lab.dir != nullptr && lab.dir->exited(tid, gen)) break;
-          guard_t g(dom);
-          for (std::uint64_t i = 0; i < regrip_every && keep_going(); ++i) {
-            if (lab.dir != nullptr) {
-              if (lab.dir->exited(tid, gen)) break;
-              if (lab.dir->stalled(tid)) {
-                apply(g, check::op_kind::contains,
-                      rng.below(cfg.key_range));
-                obs::emit(obs::event::stall_begin, tid);
-                lab.dir->wait_stall_end(tid);
-                obs::emit(obs::event::stall_end, tid);
-              }
-              if (const std::uint32_t us = lab.dir->slow_delay_us(tid)) {
-                std::this_thread::sleep_for(std::chrono::microseconds(us));
-              }
-              for (std::uint64_t n = lab.dir->claim_burst(128);
-                   n != 0 && !stop.load(std::memory_order_relaxed) &&
-                   within_limit();
-                   --n) {
-                burst_pair(g);
-                if constexpr (detail::has_trim<guard_t>) g.trim();
-                after_op();
-              }
-            }
-            const std::uint64_t key = rng.below(cfg.key_range);
-            const auto kind = kind_of(rng.below(100));
-            const bool timed = local_ops % cfg.lat_sample == 0;
-            const auto t_op =
-                timed ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{};
-            apply(g, kind, key);
-            if constexpr (detail::has_trim<guard_t>) g.trim();
-            if (timed) lhist.record(detail::ns_since(t_op));
-            after_op();
-          }
-        }
-      }
-      counters.ops.fetch_add(local_ops, std::memory_order_relaxed);
-      detail::atomic_max(stats.peak, local_peak);
-      detail::flush_thread(dom);
-      detail::quiesce_thread(dom);
-      lab.merge_hist(lhist);
-      if (lab.tele != nullptr) lab.tele->thread_exit();
+      });
     };
-
-    // Churn replacements spawned by the lab clock thread mid-run; joined
-    // after the primary workers (the director is stopped first, so the
-    // clock thread no longer appends by then).
-    std::vector<std::thread> replacements;
-    std::mutex spawn_mu;
-    std::unique_ptr<lab::fault_director> dir_holder;
-    if (!plan.empty()) {
-      dir_holder = std::make_unique<lab::fault_director>(
-          plan, total_threads, [&](unsigned tid) {
-            const std::uint32_t gen = lab.dir->generation(tid);
-            std::lock_guard<std::mutex> lk(spawn_mu);
-            replacements.emplace_back([&worker, tid, gen] {
-              char name[16];
-              std::snprintf(name, sizeof name, "churn-%u", tid);
-              obs::name_thread(name);
-              worker(tid, gen);
-            });
+    // Trimming mode (§3.3): one guard spans kRegripEvery operations
+    // and trim() after each reclaims without touching Head; the
+    // periodic re-entry bounds the retirement sublists. Stalls and
+    // bursts land under the held guard, so a stall pins exactly what
+    // the long-lived guard pins.
+    constexpr std::uint64_t kRegripEvery = 1024;
+    std::optional<guard_t> held;
+    std::uint64_t held_ops = 0;
+    auto guarded = [&](auto&& f) {
+      if (!cfg.use_trim) {
+        guard_t g(dom);
+        f(g);
+        return;
+      }
+      if (!held) held.emplace(dom);
+      f(*held);
+      if constexpr (detail::has_trim<guard_t>) held->trim();
+    };
+    w.loop(
+        [&] {
+          const std::uint64_t key = rng.below(cfg.key_range);
+          const auto kind = op_for_dice(cfg, rng.below(100));
+          // Re-grip outside the timed region: emplace leaves the old
+          // guard before entering the new one.
+          if (cfg.use_trim && held_ops++ % kRegripEvery == 0) {
+            held.emplace(dom);
+          }
+          detail::timed_op(w.ops(), cfg.lat_sample, lhist, [&] {
+            guarded([&](guard_t& g) { apply(g, kind, key); });
           });
-    }
-    lab.dir = dir_holder.get();
-    std::unique_ptr<lab::telemetry_collector> tele_holder;
-    if (cfg.sample_ms != 0) {
-      tele_holder = std::make_unique<lab::telemetry_collector>(
-          total_threads, cfg.sample_ms, &dom.counters());
-    }
-    lab.tele = tele_holder.get();
-
-    std::vector<std::thread> ts;
-    ts.reserve(total_threads);
-    for (unsigned t = 0; t < total_threads; ++t) {
-      ts.emplace_back(worker, t, 0);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    start.store(true, std::memory_order_release);
-    if (lab.dir != nullptr) lab.dir->start();
-    if (lab.tele != nullptr) lab.tele->start();
-    detail::wait_rep_end(t0, cfg, total_threads, counters);
-    stop.store(true, std::memory_order_release);
-    // Stop the director before joining: it releases in-guard stall waits
-    // (a stalled worker cannot observe `stop` until released) and joins
-    // the clock thread, after which `replacements` is quiescent.
-    if (lab.dir != nullptr) lab.dir->stop();
-    // Telemetry stops BEFORE the joins: teardown samples would record
-    // the unreclaimed count after per-thread flushes — a drop the
-    // recovery check must not credit to the scheme (threads exiting is
-    // not recovery).
-    if (lab.tele != nullptr) {
-      lab.tele->stop();
-      timeline = lab.tele->take_points();
-    }
-    for (auto& th : ts) th.join();
-    for (auto& th : replacements) th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const double secs =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    stats.finish_rep(counters, secs, dom.counters().unreclaimed());
-    lab.dir = nullptr;
-    lab.tele = nullptr;
-  }
-
-  workload_result r;
-  stats.fill(r, cfg.repeats);
-  lab.fill(r);
-  r.timeline = std::move(timeline);
-  return r;
+          return true;
+        },
+        [&](auto&& hold) {
+          guarded([&](guard_t& g) {
+            apply(g, check::op_kind::contains, rng.below(cfg.key_range));
+            hold();
+          });
+        },
+        // One burst unit: remove a random key (a successful remove
+        // retires its node) and reinsert to hold the size steady.
+        [&] {
+          guarded([&](guard_t& g) {
+            const std::uint64_t key = rng.below(cfg.key_range);
+            if (apply(g, check::op_kind::remove, key)) {
+              apply(g, check::op_kind::insert, key);
+            }
+          });
+        });
+    held.reset();
+    detail::flush_thread(dom);
+    detail::quiesce_thread(dom);
+    lat.merge(lhist);
+  };
+  return detail::to_result(
+      run_engine(detail::engine_config_of(cfg, cfg.threads, plan, dom), keyed),
+      lat.hist);
 }
 
 /// Run one producer/consumer configuration against container `q` over
@@ -663,9 +478,7 @@ workload_result run_container_workload(D& dom, Q& q,
 
   // --- prefill (quiescent) ---------------------------------------------
   {
-    check::thread_log* plog =
-        cfg.history != nullptr ? &cfg.history->attach(check::kMainTid)
-                               : nullptr;
+    check::thread_log* plog = detail::log_for(cfg, check::kMainTid);
     for (std::size_t i = 0; i < cfg.prefill; ++i) {
       guard_t g(dom);
       detail::record_op(plog, check::op_kind::push, [&] {
@@ -677,176 +490,68 @@ workload_result run_container_workload(D& dom, Q& q,
   }
   enqueued.fetch_add(cfg.prefill, std::memory_order_relaxed);
 
-  detail::run_stats stats;
-  detail::lab_state lab;
-  workload_config plan_cfg = cfg;
-  plan_cfg.threads = split.total();  // stalled extras ride above the split
-  const lab::fault_plan plan = detail::effective_plan(plan_cfg);
-  const unsigned total_threads = split.total() + cfg.stalled_threads;
-  std::vector<lab::sample_point> timeline;
-
-  for (unsigned rep = 0; rep < cfg.repeats; ++rep) {
-    std::atomic<bool> start{false};
-    std::atomic<bool> stop{false};
-    detail::rep_counters counters;
-
-    auto body = [&](unsigned tid, std::uint32_t gen) {
-      const bool producing = tid < split.producers;
-      check::thread_log* hlog =
-          cfg.history != nullptr ? &cfg.history->attach(tid) : nullptr;
-      std::uint64_t local_ops = 0;
-      std::uint64_t local_enq = 0;
-      std::uint64_t local_deq = 0;
-      std::uint64_t local_peak = 0;
-      lab::latency_histogram lhist;
-      std::uint64_t stamp =
-          stamp_src.fetch_add(1, std::memory_order_relaxed) << 40;
-      auto do_push = [&](guard_t& g) {
-        const std::uint64_t v = stamp++;
-        detail::record_op(hlog, check::op_kind::push, [&] {
-          q.push(g, v);
-          return std::pair{true, v};
-        });
-        ++local_enq;
-      };
-      auto do_pop = [&](guard_t& g) {
-        if (detail::record_op(hlog, check::op_kind::pop, [&] {
-              std::uint64_t v = 0;
-              const bool ok = q.try_pop(g, v);
-              return std::pair{ok, ok ? v : 0};
-            })) {
-          ++local_deq;
-        }
-      };
-      auto after_op = [&] {
-        ++local_ops;
-        if (lab.tele != nullptr) lab.tele->on_op(tid);
-        if (local_ops % cfg.sample_every == 0) {
-          counters.sample(dom.counters().unreclaimed(), local_peak);
-        }
-      };
-      auto within_limit = [&] {
-        return cfg.op_limit == 0 || local_ops < cfg.op_limit;
-      };
-      // As in the set workload: guarantee one op per worker even when
-      // the deadline beats the scheduler (e.g. TSan on a loaded box),
-      // but only in fault-free runs — stalled workers never count ops.
-      auto keep_going = [&] {
-        return ((local_ops == 0 && lab.dir == nullptr) ||
-                !stop.load(std::memory_order_relaxed)) &&
-               within_limit();
-      };
-      if (lab.tele != nullptr) lab.tele->thread_enter();
-      while (!start.load(std::memory_order_acquire)) {
-      }
-      while (keep_going()) {
-        if (lab.dir != nullptr) {
-          if (lab.dir->exited(tid, gen)) break;
-          if (lab.dir->stalled(tid)) {
-            // Containers have no read-only touch; holding the guard
-            // alone pins whatever the scheme's reservation pins.
-            guard_t g(dom);
-            obs::emit(obs::event::stall_begin, tid);
-            lab.dir->wait_stall_end(tid);
-            obs::emit(obs::event::stall_end, tid);
-            continue;
-          }
-          if (const std::uint32_t us = lab.dir->slow_delay_us(tid)) {
-            std::this_thread::sleep_for(std::chrono::microseconds(us));
-          }
-          for (std::uint64_t n = lab.dir->claim_burst(128);
-               n != 0 && !stop.load(std::memory_order_relaxed) &&
-               within_limit();
-               --n) {
-            // Retire-generating pair with an exact ledger: the push is
-            // counted, and the pop (usually of the just-pushed value)
-            // retires one node.
-            guard_t g(dom);
-            do_push(g);
-            do_pop(g);
-            after_op();
-          }
-        }
-        const bool timed = local_ops % cfg.lat_sample == 0;
-        const auto t_op = timed ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{};
-        {
-          guard_t g(dom);
-          if (producing) {
-            do_push(g);
-          } else {
-            do_pop(g);
-          }
-        }
-        if (timed) lhist.record(detail::ns_since(t_op));
-        after_op();
-      }
-      counters.ops.fetch_add(local_ops, std::memory_order_relaxed);
-      enqueued.fetch_add(local_enq, std::memory_order_relaxed);
-      dequeued.fetch_add(local_deq, std::memory_order_relaxed);
-      detail::atomic_max(stats.peak, local_peak);
-      detail::flush_thread(dom);
-      detail::quiesce_thread(dom);
-      lab.merge_hist(lhist);
-      if (lab.tele != nullptr) lab.tele->thread_exit();
+  // Stalled extras ride above the split.
+  const lab::fault_plan plan = detail::effective_plan(cfg, split.total());
+  detail::latency_sink lat;
+  auto split_worker = [&](worker& w) {
+    const bool producing = w.tid < split.producers;
+    check::thread_log* hlog = detail::log_for(cfg, w.tid);
+    std::uint64_t local_enq = 0;
+    std::uint64_t local_deq = 0;
+    lab::latency_histogram lhist;
+    std::uint64_t stamp =
+        stamp_src.fetch_add(1, std::memory_order_relaxed) << 40;
+    auto do_push = [&](guard_t& g) {
+      const std::uint64_t v = stamp++;
+      detail::record_op(hlog, check::op_kind::push, [&] {
+        q.push(g, v);
+        return std::pair{true, v};
+      });
+      ++local_enq;
     };
-
-    std::vector<std::thread> replacements;
-    std::mutex spawn_mu;
-    std::unique_ptr<lab::fault_director> dir_holder;
-    if (!plan.empty()) {
-      dir_holder = std::make_unique<lab::fault_director>(
-          plan, total_threads, [&](unsigned tid) {
-            const std::uint32_t gen = lab.dir->generation(tid);
-            std::lock_guard<std::mutex> lk(spawn_mu);
-            replacements.emplace_back([&body, tid, gen] {
-              char name[16];
-              std::snprintf(name, sizeof name, "churn-%u", tid);
-              obs::name_thread(name);
-              body(tid, gen);
-            });
+    auto do_pop = [&](guard_t& g) {
+      if (detail::record_op(hlog, check::op_kind::pop, [&] {
+            std::uint64_t v = 0;
+            const bool ok = q.try_pop(g, v);
+            return std::pair{ok, ok ? v : 0};
+          })) {
+        ++local_deq;
+      }
+    };
+    w.loop(
+        [&] {
+          detail::timed_op(w.ops(), cfg.lat_sample, lhist, [&] {
+            guard_t g(dom);
+            if (producing) {
+              do_push(g);
+            } else {
+              do_pop(g);
+            }
           });
-    }
-    lab.dir = dir_holder.get();
-    std::unique_ptr<lab::telemetry_collector> tele_holder;
-    if (cfg.sample_ms != 0) {
-      tele_holder = std::make_unique<lab::telemetry_collector>(
-          total_threads, cfg.sample_ms, &dom.counters());
-    }
-    lab.tele = tele_holder.get();
-
-    std::vector<std::thread> ts;
-    ts.reserve(total_threads);
-    for (unsigned t = 0; t < total_threads; ++t) {
-      ts.emplace_back(body, t, 0);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    start.store(true, std::memory_order_release);
-    if (lab.dir != nullptr) lab.dir->start();
-    if (lab.tele != nullptr) lab.tele->start();
-    detail::wait_rep_end(t0, cfg, total_threads, counters);
-    stop.store(true, std::memory_order_release);
-    if (lab.dir != nullptr) lab.dir->stop();
-    // Telemetry stops BEFORE the joins: teardown samples would record
-    // the unreclaimed count after per-thread flushes — a drop the
-    // recovery check must not credit to the scheme (threads exiting is
-    // not recovery).
-    if (lab.tele != nullptr) {
-      lab.tele->stop();
-      timeline = lab.tele->take_points();
-    }
-    for (auto& th : ts) th.join();
-    for (auto& th : replacements) th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const double secs =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    stats.finish_rep(counters, secs, dom.counters().unreclaimed());
-    lab.dir = nullptr;
-    lab.tele = nullptr;
-  }
+          return true;
+        },
+        // Containers have no read-only touch; holding the guard
+        // alone pins whatever the scheme's reservation pins.
+        [&](auto&& hold) {
+          guard_t g(dom);
+          hold();
+        },
+        // Retire-generating pair with an exact ledger: the push is
+        // counted, and the pop (usually of the just-pushed value)
+        // retires one node.
+        [&] {
+          guard_t g(dom);
+          do_push(g);
+          do_pop(g);
+        });
+    enqueued.fetch_add(local_enq, std::memory_order_relaxed);
+    dequeued.fetch_add(local_deq, std::memory_order_relaxed);
+    detail::flush_thread(dom);
+    detail::quiesce_thread(dom);
+    lat.merge(lhist);
+  };
+  engine_result er = run_engine(
+      detail::engine_config_of(cfg, split.total(), plan, dom), split_worker);
 
   // --- drain (quiescent) -----------------------------------------------
   // Pop the residual so the ledger closes and every node the structure
@@ -856,9 +561,7 @@ workload_result run_container_workload(D& dom, Q& q,
   // the history complete.
   std::uint64_t drained = 0;
   {
-    check::thread_log* dlog =
-        cfg.history != nullptr ? &cfg.history->attach(check::kMainTid)
-                               : nullptr;
+    check::thread_log* dlog = detail::log_for(cfg, check::kMainTid);
     for (;;) {
       guard_t g(dom);
       if (!detail::record_op(dlog, check::op_kind::pop, [&] {
@@ -874,13 +577,10 @@ workload_result run_container_workload(D& dom, Q& q,
   detail::flush_thread(dom);
   detail::quiesce_thread(dom);  // the drain loop above took guards
 
-  workload_result r;
-  stats.fill(r, cfg.repeats);
-  lab.fill(r);
+  workload_result r = detail::to_result(std::move(er), lat.hist);
   r.enqueued = enqueued.load(std::memory_order_relaxed);
   r.dequeued = dequeued.load(std::memory_order_relaxed);
   r.drained = drained;
-  r.timeline = std::move(timeline);
   return r;
 }
 

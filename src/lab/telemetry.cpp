@@ -34,11 +34,6 @@ double latency_histogram::percentile(double q) const {
 }
 
 telemetry_collector::telemetry_collector(unsigned slots, unsigned sample_ms,
-                                         const smr::stats* stats)
-    : telemetry_collector(slots, sample_ms,
-                          std::vector<const smr::stats*>{stats}) {}
-
-telemetry_collector::telemetry_collector(unsigned slots, unsigned sample_ms,
                                          std::vector<const smr::stats*> stats)
     : slots_(slots == 0 ? 1 : slots),
       stats_(std::move(stats)),

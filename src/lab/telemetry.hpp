@@ -106,14 +106,10 @@ class latency_histogram {
 /// is the only writer of the series.
 class telemetry_collector {
  public:
-  /// `slots` = highest worker tid + 1; `stats` = the domain's counters
-  /// (outlives the collector); `sample_ms` = cadence.
-  telemetry_collector(unsigned slots, unsigned sample_ms,
-                      const smr::stats* stats);
-
-  /// Multi-domain variant: each sample sums retired/freed across every
-  /// stats block (all must outlive the collector). The svc shard router
-  /// owns one domain per shard; the service timeline is the aggregate.
+  /// `slots` = highest worker tid + 1; `sample_ms` = cadence. Each
+  /// sample sums retired/freed across every block in `stats` (all must
+  /// outlive the collector): one domain for the registry cells, one per
+  /// shard for the svc shard router.
   telemetry_collector(unsigned slots, unsigned sample_ms,
                       std::vector<const smr::stats*> stats);
 

@@ -17,29 +17,26 @@
 //   - the telemetry sampler aggregates retired/freed across all shard
 //     domains into one time series for the memory SLOs.
 //
-// The teardown order matches run_workload: stop flag, director stop
-// (releases in-guard stalls), telemetry stop BEFORE the joins (so
-// thread-exit flushes cannot masquerade as recovery), join primaries,
-// join churn replacements, then router shutdown (structures destroyed,
-// domains drained) and the retired == freed leak gate reading.
+// The lifecycle — flags, director, telemetry, spawn/join and the
+// teardown order — is the run engine's (harness/engine.hpp); this file
+// supplies only the op source (the paced Zipf tenant and its scripted
+// windows). After the engine's teardown come router shutdown (structures
+// destroyed, domains drained) and the retired == freed leak gate reading.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "harness/engine.hpp"
 #include "harness/schemes.hpp"
+#include "harness/workload.hpp"
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "smr/stats.hpp"
 #include "svc/loadgen.hpp"
 #include "svc/shard_router.hpp"
@@ -75,11 +72,6 @@ struct service_config {
   const tenant_plan* script = nullptr;
 };
 
-constexpr bool valid_service_mix(const service_config& cfg) {
-  return std::uint64_t{cfg.insert_pct} + cfg.remove_pct + cfg.get_pct ==
-         100;
-}
-
 struct service_result {
   lab::latency_histogram victim_hist;    ///< well-behaved tenants, CO-safe
   lab::latency_histogram scripted_hist;  ///< bad tenants (reported only)
@@ -106,7 +98,7 @@ service_result run_service(const harness::scheme_params& base,
                            const service_config& cfg) {
   using guard_t = typename D::guard;
   using clock = pacer::clock;
-  assert(valid_service_mix(cfg) && "op-mix percentages must sum to 100");
+  assert(harness::valid_mix(cfg) && "op-mix percentages must sum to 100");
 
   const unsigned tenants = cfg.tenants == 0 ? 1 : cfg.tenants;
   const tenant_plan no_script;
@@ -139,172 +131,108 @@ service_result run_service(const harness::scheme_params& base,
   const zipf_generator zipf(cfg.key_range, cfg.zipf_theta);
   const double tenant_rate = cfg.rate_ops_s / tenants;
 
-  std::atomic<bool> start{false};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> total_ops{0};
-  clock::time_point run_t0{};  // written before start, read after
+  harness::engine_config ec;
+  ec.workers = tenants;
+  ec.duration_ms = cfg.duration_ms;
+  ec.sample_ms = cfg.sample_ms;
+  ec.seed = cfg.seed + 1;  // the tenants' stream base
+  ec.name = "tenant";
+  ec.faults = &plan;
+  ec.stats = router.stats_pointers();
 
   service_result res;
   std::mutex hist_mu;
-  lab::fault_director* dir = nullptr;
-  lab::telemetry_collector* tele = nullptr;
-
-  auto tenant_body = [&](unsigned tid, std::uint32_t gen) {
-    char tname[16];
-    std::snprintf(tname, sizeof tname, gen == 0 ? "tenant-%u" : "churn-%u",
-                  tid);
-    obs::name_thread(tname);
-    // Churn replacements (gen > 0) get fresh randomness: a reconnecting
-    // user is a different request stream, not a replay.
-    xoshiro256 rng(cfg.seed + tid * 1000003 + gen * 7919 + 1);
-    pacer pace(cfg.arrival, tenant_rate, cfg.seed ^ (tid * 0x9e37 + gen));
+  auto tenant = [&](harness::worker& w) {
+    xoshiro256 rng(w.seed());
+    pacer pace(cfg.arrival, tenant_rate, cfg.seed ^ (w.tid * 0x9e37 + w.gen));
     lab::latency_histogram lhist;
-    const bool scripted = script.is_scripted(tid);
-    std::uint64_t local_ops = 0;
+    const bool scripted = script.is_scripted(w.tid);
     bool in_window = false;
 
     auto good_op = [&](std::uint64_t key) {
-      const std::uint64_t dice = rng.below(100);
-      if (dice < cfg.insert_pct) {
-        router.put(key, key);
-      } else if (dice < cfg.insert_pct + cfg.remove_pct) {
-        router.del(key);
-      } else {
-        std::uint64_t out = 0;
-        router.get(key, out);
+      std::uint64_t out = 0;
+      switch (harness::op_for_dice(cfg, rng.below(100))) {
+        case check::op_kind::insert:
+          router.put(key, key);
+          break;
+        case check::op_kind::remove:
+          router.del(key);
+          break;
+        default:
+          router.get(key, out);
       }
     };
-    auto after_op = [&] {
-      ++local_ops;
-      if (tele != nullptr) tele->on_op(tid);
-    };
 
-    if (tele != nullptr) tele->thread_enter();
-    while (!start.load(std::memory_order_acquire)) {
-    }
     // Each tenant anchors its own schedule at its own loop entry, so a
     // churn replacement starts fresh instead of inheriting the backlog
     // of a schedule anchored at run start.
     pace.anchor(clock::now());
-
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (dir != nullptr) {
-        if (dir->exited(tid, gen)) break;
-        if (dir->stalled(tid)) {
-          // Stall-in-guard: enter one shard's domain, touch a node so
-          // the guard pins something, and block for the window. The
-          // blast radius is that shard; the others keep reclaiming.
-          const unsigned s = tid % shards;
+    w.loop(
+        [&] {
+          if (scripted) {
+            const double t_ms =
+                std::chrono::duration_cast<
+                    std::chrono::duration<double, std::milli>>(
+                    clock::now() - w.start_time())
+                    .count();
+            if (const behavior_event* be = script.active(w.tid, t_ms)) {
+              in_window = true;
+              const auto t_op = clock::now();
+              if (be->kind == behavior_kind::hot_keys) {
+                // Hammer the hottest Zipf rank with unpaced writes: one
+                // shard's bucket chain takes the retire churn.
+                if ((w.ops() & 1) == 0) {
+                  router.put(0, 0);
+                } else {
+                  router.del(0);
+                }
+              } else {
+                router.scan(static_cast<unsigned>(rng.below(shards)),
+                            rng.below(cfg.key_range), 256);
+              }
+              lhist.record(intended_latency_ns(t_op, clock::now()));
+              return true;
+            }
+            if (in_window) {
+              in_window = false;
+              pace.reanchor();  // the window's backlog was self-inflicted
+            }
+          }
+          const clock::time_point intended =
+              pace.paced() ? pace.next_intended() : clock::now();
+          if (pace.paced() && !pacer::await(intended, w.stop_flag())) {
+            return false;
+          }
+          good_op(zipf(rng));
+          lhist.record(intended_latency_ns(intended, clock::now()));
+          return true;
+        },
+        // Stall-in-guard: enter one shard's domain, touch a node so the
+        // guard pins something, and block for the window. The blast
+        // radius is that shard; the others keep reclaiming.
+        [&](auto&& hold) {
+          const unsigned s = w.tid % shards;
           guard_t g(router.domain(s));
           router.touch(g, s, rng.below(cfg.key_range));
-          obs::emit(obs::event::stall_begin, tid);
-          dir->wait_stall_end(tid);
-          obs::emit(obs::event::stall_end, tid);
+          hold();
           // A stalled tenant is a scripted tenant: its pacer backlog is
           // the fault's doing, not the service's.
           pace.reanchor();
-          continue;
-        }
-      }
-      if (scripted) {
-        const double t_ms =
-            std::chrono::duration_cast<std::chrono::duration<double,
-                                                             std::milli>>(
-                clock::now() - run_t0)
-                .count();
-        if (const behavior_event* be = script.active(tid, t_ms)) {
-          in_window = true;
-          const auto t_op = clock::now();
-          if (be->kind == behavior_kind::hot_keys) {
-            // Hammer the hottest Zipf rank with unpaced writes: one
-            // shard's bucket chain takes the retire churn.
-            if ((local_ops & 1) == 0) {
-              router.put(0, 0);
-            } else {
-              router.del(0);
-            }
-          } else {
-            router.scan(static_cast<unsigned>(rng.below(shards)),
-                        rng.below(cfg.key_range), 256);
-          }
-          lhist.record(intended_latency_ns(t_op, clock::now()));
-          after_op();
-          continue;
-        }
-        if (in_window) {
-          in_window = false;
-          pace.reanchor();  // the window's backlog was self-inflicted
-        }
-      }
-      const clock::time_point intended =
-          pace.paced() ? pace.next_intended() : clock::now();
-      if (pace.paced() && !pacer::await(intended, stop)) break;
-      good_op(zipf(rng));
-      lhist.record(intended_latency_ns(intended, clock::now()));
-      after_op();
-    }
+        },
+        // Tenant scripts lower to stall and churn only (to_fault_plan),
+        // so the director never hands a tenant burst work.
+        [] {});
 
-    total_ops.fetch_add(local_ops, std::memory_order_relaxed);
     router.thread_quiesce();
-    {
-      std::lock_guard<std::mutex> lk(hist_mu);
-      (scripted ? res.scripted_hist : res.victim_hist).merge(lhist);
-    }
-    if (tele != nullptr) tele->thread_exit();
+    std::lock_guard<std::mutex> lk(hist_mu);
+    (scripted ? res.scripted_hist : res.victim_hist).merge(lhist);
   };
+  harness::engine_result er = harness::run_engine(ec, tenant);
 
-  // Churn replacements spawned by the lab clock thread mid-run; joined
-  // after the primaries (the director is stopped first, so the clock
-  // thread no longer appends by then).
-  std::vector<std::thread> replacements;
-  std::mutex spawn_mu;
-  std::unique_ptr<lab::fault_director> dir_holder;
-  if (!plan.empty()) {
-    dir_holder = std::make_unique<lab::fault_director>(
-        plan, tenants, [&](unsigned tid) {
-          const std::uint32_t gen = dir->generation(tid);
-          std::lock_guard<std::mutex> lk(spawn_mu);
-          replacements.emplace_back(tenant_body, tid, gen);
-        });
-  }
-  dir = dir_holder.get();
-  std::unique_ptr<lab::telemetry_collector> tele_holder;
-  if (cfg.sample_ms != 0) {
-    tele_holder = std::make_unique<lab::telemetry_collector>(
-        tenants, cfg.sample_ms, router.stats_pointers());
-  }
-  tele = tele_holder.get();
-
-  std::vector<std::thread> ts;
-  ts.reserve(tenants);
-  for (unsigned t = 0; t < tenants; ++t) {
-    ts.emplace_back(tenant_body, t, 0);
-  }
-
-  run_t0 = clock::now();
-  start.store(true, std::memory_order_release);
-  if (dir != nullptr) dir->start();
-  if (tele != nullptr) tele->start();
-  std::this_thread::sleep_until(run_t0 +
-                                std::chrono::milliseconds(cfg.duration_ms));
-  stop.store(true, std::memory_order_release);
-  // Director before joins: a stalled tenant cannot observe stop until
-  // its wait is released. Telemetry before joins: teardown samples would
-  // record the post-flush counters — thread exit is not recovery.
-  if (dir != nullptr) dir->stop();
-  if (tele != nullptr) {
-    tele->stop();
-    res.timeline = tele->take_points();
-  }
-  for (auto& th : ts) th.join();
-  for (auto& th : replacements) th.join();
-  const auto t1 = clock::now();
-
-  res.duration_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - run_t0)
-          .count();
-  res.ops = total_ops.load(std::memory_order_relaxed);
-  res.mops = static_cast<double>(res.ops) / res.duration_s / 1e6;
+  res.timeline = std::move(er.timeline);
+  res.duration_s = er.secs;
+  res.ops = er.total_ops;
+  res.mops = er.mops;
   for (const lab::sample_point& pt : res.timeline) {
     if (pt.unreclaimed > res.unreclaimed_peak) {
       res.unreclaimed_peak = pt.unreclaimed;
@@ -326,11 +254,7 @@ service_result run_service(const harness::scheme_params& base,
   for (const smr::stats* st : router.stats_pointers()) {
     res.obs.accumulate(st->snapshot());
   }
-  const auto lagh = lab::latency_histogram::from_counts(
-      res.obs.lag_bucket, res.obs.lag_max_ns);
-  res.lag_p50_ns = lagh.percentile(0.50);
-  res.lag_p99_ns = lagh.percentile(0.99);
-  res.lag_max_ns = res.obs.lag_max_ns;
+  harness::fill_lag_percentiles(res);
   return res;
 }
 

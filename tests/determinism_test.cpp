@@ -7,6 +7,7 @@
 // picture, which is what lets this test compare runs byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -26,7 +27,7 @@ struct run_out {
 };
 
 run_out one_run(const char* scheme, const char* structure,
-                std::uint64_t seed) {
+                std::uint64_t seed, bool use_trim = false) {
   const auto& reg = harness::scheme_registry::instance();
   harness::runner_fn run = reg.runner(scheme, structure);
   EXPECT_NE(run, nullptr);
@@ -41,6 +42,7 @@ run_out one_run(const char* scheme, const char* structure,
   cfg.prefill = 128;
   cfg.seed = seed;
   cfg.history = &rec;
+  cfg.use_trim = use_trim;
   harness::scheme_params p;
   p.max_threads = 4;
   const harness::workload_result r = run(p, cfg);
@@ -53,16 +55,30 @@ run_out one_run(const char* scheme, const char* structure,
 }
 
 TEST(SeededDeterminism, SameSeedSameOpsColumnAndSameHistory) {
-  const run_out a = one_run("Epoch", "hashmap", 0xfeed);
-  const run_out b = one_run("Epoch", "hashmap", 0xfeed);
-  // Each of the 2 repetitions retires exactly its 20000-op budget...
-  EXPECT_EQ(a.total_ops, 2u * 20000u);
-  // ...and the per-rep ops columns (and everything else derived from the
-  // op stream) match because the streams themselves are identical.
-  EXPECT_EQ(a.total_ops, b.total_ops);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  EXPECT_TRUE(a.history == b.history)
-      << "same seed, same config must replay the identical op stream";
+  // One case per loop shape: the keyed mix, the keyed mix under trim (one
+  // guard held across many ops), and a lone producer (threads = 1 derives
+  // a 1/0 split) whose history also covers the quiescent drain.
+  struct shape {
+    const char* scheme;
+    const char* structure;
+    bool use_trim;
+  };
+  for (const shape& sh : {shape{"Epoch", "hashmap", false},
+                          shape{"Hyaline", "hashmap", true},
+                          shape{"Epoch", "msqueue", false}}) {
+    SCOPED_TRACE(std::string(sh.scheme) + " x " + sh.structure +
+                 (sh.use_trim ? " (trim)" : ""));
+    const run_out a = one_run(sh.scheme, sh.structure, 0xfeed, sh.use_trim);
+    const run_out b = one_run(sh.scheme, sh.structure, 0xfeed, sh.use_trim);
+    // Each of the 2 repetitions retires exactly its 20000-op budget...
+    EXPECT_EQ(a.total_ops, 2u * 20000u);
+    // ...and the per-rep ops columns (and everything else derived from
+    // the op stream) match because the streams themselves are identical.
+    EXPECT_EQ(a.total_ops, b.total_ops);
+    ASSERT_EQ(a.history.size(), b.history.size());
+    EXPECT_TRUE(a.history == b.history)
+        << "same seed, same config must replay the identical op stream";
+  }
 }
 
 TEST(SeededDeterminism, TracingDoesNotPerturbTheOpStream) {

@@ -247,7 +247,7 @@ TEST(TelemetrySamplerTest, ConcurrentWorkersRaceFree) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kOpsPerThread = 20000;
   smr::stats stats;
-  telemetry_collector tc(kThreads, /*sample_ms=*/1, &stats);
+  telemetry_collector tc(kThreads, /*sample_ms=*/1, {&stats});
   tc.start();
   std::vector<std::thread> workers;
   for (unsigned t = 0; t < kThreads; ++t) {

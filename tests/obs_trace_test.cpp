@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -157,6 +159,21 @@ TEST_F(ObsTraceTest, HyalineRunReportsBatchFinalizes) {
   const harness::workload_result r = run_cell("Hyaline");
   EXPECT_GT(r.obs.finalizes, 0u);
   EXPECT_GT(r.obs.freed, 0u);
+}
+
+TEST_F(ObsTraceTest, RegistryWorkersLeaveRingsNamedPerTid) {
+  // The engine names every primary worker, so a traced run's rings say
+  // which tid did what instead of carrying the process name.
+  obs::set_ring_capacity(1024);
+  obs::set_tracing(true);
+  (void)run_cell("Epoch");
+  obs::set_tracing(false);
+  std::set<std::string> names;
+  for (const obs::thread_trace& t : obs::snapshot()) {
+    if (t.emitted != 0) names.insert(t.name);
+  }
+  EXPECT_EQ(names.count("worker-0"), 1u);
+  EXPECT_EQ(names.count("worker-1"), 1u);
 }
 
 }  // namespace

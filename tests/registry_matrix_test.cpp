@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "common/debug_alloc.hpp"
 #include "ds_test_common.hpp"
@@ -129,6 +130,42 @@ TEST(RegistryMatrix, LineupAndCapabilitiesMatchThePaper) {
 
   EXPECT_EQ(reg.find("no-such-scheme"), nullptr);
   EXPECT_EQ(reg.runner("Hyaline", "no-such-structure"), nullptr);
+}
+
+TEST(LedgerViolation, NamesEachImbalanceAndPassesABalancedLedger) {
+  harness::workload_result ok;
+  ok.retired = 10;
+  ok.freed = 10;
+  ok.enqueued = 7;
+  ok.dequeued = 5;
+  ok.drained = 2;
+  EXPECT_EQ(harness::ledger_violation(ok), "");
+  EXPECT_EQ(harness::ledger_violation(harness::workload_result{}), "")
+      << "a set cell's all-zero container ledger is balanced";
+
+  harness::workload_result leak = ok;
+  leak.freed = 9;
+  const std::string l = harness::ledger_violation(leak);
+  EXPECT_NE(l.find("leak — retired 10, freed 9"), std::string::npos) << l;
+  EXPECT_EQ(l.find("conservation"), std::string::npos) << l;
+
+  harness::workload_result lost = ok;
+  lost.drained = 1;
+  const std::string c = harness::ledger_violation(lost);
+  EXPECT_NE(c.find("pushed 7 != popped 5 + drained 1"), std::string::npos)
+      << c;
+  EXPECT_EQ(c.find("leak"), std::string::npos) << c;
+
+  harness::workload_result both = lost;
+  both.freed = 9;
+  const std::string b = harness::ledger_violation(both);
+  EXPECT_NE(b.find("conservation"), std::string::npos) << b;
+  EXPECT_NE(b.find("leak"), std::string::npos) << b;
+
+  // The service passes its shard-summed ledger directly.
+  EXPECT_NE(harness::ledger_violation(
+                harness::run_ledger{.retired = 3, .freed = 2}),
+            "");
 }
 
 }  // namespace
