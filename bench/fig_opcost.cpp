@@ -14,20 +14,22 @@
 //
 // Single-threaded by design: cross-thread interference is the throughput
 // figures' job; this one answers "what does the uncontended path cost".
+// Beside the nine line-up schemes it measures Hyaline over the two other
+// head policies (true double-width CAS and emulated LL/SC, §4.4), the
+// quantitative side of the paper's Table 1.
 //
-//   fig_opcost [--iters n] [--fastpath on|off] [--schemes a,b,...]
-//              [--json path]
+//   fig_opcost --iters 20000 --json oc.json
 //
 // CSV (scheme,op,ns_per_op) to stdout; --json adds a machine-readable
 // file with the usual provenance block.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/provenance.hpp"
+#include "harness/registry.hpp"
 #include "harness/schemes.hpp"
 #include "smr/core/slab_alloc.hpp"
 
@@ -36,74 +38,6 @@ namespace {
 using namespace hyaline;
 using harness::scheme_params;
 using harness::scheme_traits;
-
-struct opcost_options {
-  std::uint64_t iters = 200000;
-  bool fastpath = true;
-  std::vector<std::string> schemes;
-  std::string json;
-};
-
-[[noreturn]] void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--iters n] [--fastpath on|off]\n"
-               "          [--schemes a,b,...] [--json path]\n",
-               prog);
-  std::exit(2);
-}
-
-opcost_options parse_args(int argc, char** argv) {
-  opcost_options o;
-  for (int i = 1; i < argc; ++i) {
-    auto need_val = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--iters") == 0) {
-      o.iters = std::strtoull(need_val("--iters"), nullptr, 10);
-      if (o.iters == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--fastpath") == 0) {
-      const char* v = need_val("--fastpath");
-      if (std::strcmp(v, "on") == 0) {
-        o.fastpath = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        o.fastpath = false;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--schemes") == 0) {
-      std::string cur;
-      for (const char* p = need_val("--schemes");; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) o.schemes.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur.push_back(*p);
-        }
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      o.json = need_val("--json");
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage(argv[0]);
-    }
-  }
-  return o;
-}
-
-bool scheme_wanted(const opcost_options& o, const char* name) {
-  if (o.schemes.empty()) return true;
-  for (const auto& s : o.schemes) {
-    if (s == name) return true;
-  }
-  return false;
-}
 
 /// Keep `v` alive past the optimizer without a memory barrier.
 inline void escape(const void* v) { asm volatile("" : : "r"(v) : ); }
@@ -125,10 +59,12 @@ double ns_per(clock_type::time_point t0, clock_type::time_point t1,
   return ns / static_cast<double>(iters);
 }
 
+/// Appends the scheme's four rows; false if its ledger does not close
+/// after drain().
 template <class D>
-void measure(const opcost_options& o, std::vector<row>& rows) {
+bool measure(const harness::cli_options& o, std::vector<row>& rows) {
   const char* name = scheme_traits<D>::name;
-  if (!scheme_wanted(o, name)) return;
+  if (!o.scheme_enabled(name)) return true;
 
   scheme_params p;
   p.max_threads = 4;
@@ -195,31 +131,39 @@ void measure(const opcost_options& o, std::vector<row>& rows) {
   }
 
   dom->drain();
-  const auto retired = dom->counters().retired.load(std::memory_order_relaxed);
-  const auto freed = dom->counters().freed.load(std::memory_order_relaxed);
-  if (retired != freed) {
-    std::fprintf(stderr, "%s: leak after drain — retired %llu, freed %llu\n",
-                 name, static_cast<unsigned long long>(retired),
-                 static_cast<unsigned long long>(freed));
+  const std::string bad = harness::ledger_violation(harness::run_ledger{
+      .retired = dom->counters().retired.load(std::memory_order_relaxed),
+      .freed = dom->counters().freed.load(std::memory_order_relaxed)});
+  if (!bad.empty()) {
+    std::fprintf(stderr, "%s: after drain: %s\n", name, bad.c_str());
+    return false;
   }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const opcost_options o = parse_args(argc, argv);
+  harness::cli_options defaults;
+  defaults.iters = 200000;
+  const harness::cli_options o =
+      harness::parse_cli(argc, argv, harness::kOpcostFlags, defaults);
   smr::core::slab::set_enabled(o.fastpath);
 
+  // A scheme whose ledger does not close prints no plausible rows: exit 3,
+  // as the figures do.
+  using measure_fn = bool (*)(const harness::cli_options&, std::vector<row>&);
+  constexpr measure_fn kSchemes[] = {
+      measure<smr::leaky_domain>, measure<smr::ebr_domain>,
+      measure<domain>,            measure<domain_1>,
+      measure<domain_s>,          measure<domain_1s>,
+      measure<smr::ibr_domain>,   measure<smr::he_domain>,
+      measure<smr::hp_domain>,    measure<domain_dw>,
+      measure<domain_llsc>};
   std::vector<row> rows;
-  measure<smr::leaky_domain>(o, rows);
-  measure<smr::ebr_domain>(o, rows);
-  measure<domain>(o, rows);
-  measure<domain_1>(o, rows);
-  measure<domain_s>(o, rows);
-  measure<domain_1s>(o, rows);
-  measure<smr::ibr_domain>(o, rows);
-  measure<smr::he_domain>(o, rows);
-  measure<smr::hp_domain>(o, rows);
+  for (const measure_fn m : kSchemes) {
+    if (!m(o, rows)) return 3;
+  }
 
   if (rows.empty()) {
     std::fprintf(stderr, "no schemes matched --schemes\n");

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "harness/cli.hpp"
-#include "harness/figures.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
 #include "obs/metrics.hpp"
@@ -197,39 +196,33 @@ bool write_json(const std::string& path, const harness::cli_options& o,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::figure_spec spec{.name = kFigure,
-                                  .kind = harness::figure_kind::service,
-                                  .insert_pct = 5,
-                                  .remove_pct = 5,
-                                  .get_pct = 90,
-                                  .default_sample_ms = 20,
-                                  .default_duration_ms = 2000};
   harness::cli_options defaults;
-  defaults.duration_ms = spec.default_duration_ms;
-  harness::cli_options o = harness::parse_cli(argc, argv, defaults);
-  if (!harness::validate_kind_options(spec, o)) return 2;
+  defaults.duration_ms = 2000;
+  defaults.sample_ms = 20;
+  defaults.mix = {5, 5, 90};
+  defaults.svc_shards = 4;
+  defaults.tenants = 16;
+  defaults.skew = 0.99;
+  defaults.arrival = "poisson";
+  defaults.slo = kDefaultSlo;
+  const harness::cli_options o =
+      harness::parse_cli(argc, argv, harness::kServiceFlags, defaults);
 
   service_config cfg;
-  cfg.shards = o.svc_shards != 0 ? o.svc_shards : 4;
-  cfg.tenants = o.tenants != 0 ? o.tenants : 16;
+  cfg.shards = o.svc_shards;
+  cfg.tenants = o.tenants;
   // Default offered load: enough per tenant that the SLO windows hold a
   // meaningful sample count, low enough that CI boxes are not saturated.
-  cfg.rate_ops_s =
-      o.rate_ops_s >= 0 ? o.rate_ops_s : 3000.0 * cfg.tenants;
+  cfg.rate_ops_s = o.given.has(harness::flag::rate) ? o.rate_ops_s
+                                                    : 3000.0 * cfg.tenants;
   cfg.arrival =
       o.arrival == "fixed" ? arrival_kind::fixed : arrival_kind::poisson;
-  cfg.zipf_theta = o.skew >= 0 ? o.skew : 0.99;
+  cfg.zipf_theta = o.skew;
   cfg.key_range = o.key_range;
   cfg.prefill = o.prefill;
-  if (!o.mix.empty()) {
-    cfg.insert_pct = o.mix[0];
-    cfg.remove_pct = o.mix[1];
-    cfg.get_pct = o.mix[2];
-  } else {
-    cfg.insert_pct = spec.insert_pct;
-    cfg.remove_pct = spec.remove_pct;
-    cfg.get_pct = spec.get_pct;
-  }
+  cfg.insert_pct = o.mix[0];
+  cfg.remove_pct = o.mix[1];
+  cfg.get_pct = o.mix[2];
   cfg.duration_ms = o.duration_ms;
   cfg.sample_ms = o.sample_ms;
   cfg.seed = o.seed;
@@ -260,7 +253,7 @@ int main(int argc, char** argv) {
   }
 
   std::string slo_err;
-  auto slo = parse_slo(o.slo.empty() ? kDefaultSlo : o.slo, &slo_err);
+  auto slo = parse_slo(o.slo, &slo_err);
   if (!slo.has_value()) {
     std::fprintf(stderr, "--slo: %s\n", slo_err.c_str());
     return 2;

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
                      .remove_pct = 50,
                      .get_pct = 0,
                      .default_threads = {4},
-                     .default_sample_ms = 10,
                      // Long enough that a few-hundred-ms transient fault
                      // leaves a measurable fault-free tail.
                      .default_duration_ms = 1000},

@@ -11,18 +11,17 @@
 // same points exist in every file. New cells may be appended; renaming or
 // dropping one orphans the historical series.
 //
-//   sweep [--out path] [--threads n] [--duration ms] [--repeats n]
-//         [--seed n] [--fastpath on|off] [--schemes a,b,...]
+//   sweep --out BENCH_fresh.json --threads 2 --duration 60
 //
 // --fastpath off disables the per-op fast path (slab allocator and guard
 // entry amortization) so a single binary can measure its own
 // before/after on the same machine.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
 #include "lab/fault_plan.hpp"
@@ -36,90 +35,6 @@ using harness::scheme_registry;
 using harness::structure_kind;
 using harness::workload_config;
 using harness::workload_result;
-
-struct sweep_options {
-  std::string out = "BENCH.json";
-  unsigned threads = 2;
-  unsigned duration_ms = 200;
-  unsigned repeats = 1;
-  std::uint64_t seed = 0x5eed;
-  bool fastpath = true;
-  std::vector<std::string> schemes;  // empty = full lineup
-};
-
-[[noreturn]] void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--out path] [--threads n] [--duration ms]\n"
-               "          [--repeats n] [--seed n] [--fastpath on|off]\n"
-               "          [--schemes a,b,...]\n",
-               prog);
-  std::exit(2);
-}
-
-sweep_options parse_args(int argc, char** argv) {
-  sweep_options o;
-  for (int i = 1; i < argc; ++i) {
-    auto need_val = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      o.out = need_val("--out");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = static_cast<unsigned>(
-          std::strtoul(need_val("--threads"), nullptr, 10));
-      if (o.threads == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      o.duration_ms = static_cast<unsigned>(
-          std::strtoul(need_val("--duration"), nullptr, 10));
-      if (o.duration_ms == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--repeats") == 0) {
-      o.repeats = static_cast<unsigned>(
-          std::strtoul(need_val("--repeats"), nullptr, 10));
-      if (o.repeats == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      o.seed = std::strtoull(need_val("--seed"), nullptr, 0);
-    } else if (std::strcmp(argv[i], "--fastpath") == 0) {
-      const char* v = need_val("--fastpath");
-      if (std::strcmp(v, "on") == 0) {
-        o.fastpath = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        o.fastpath = false;
-      } else {
-        std::fprintf(stderr, "--fastpath wants on|off\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--schemes") == 0) {
-      std::string cur;
-      for (const char* p = need_val("--schemes");; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) o.schemes.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur.push_back(*p);
-        }
-      }
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage(argv[0]);
-    }
-  }
-  return o;
-}
-
-bool scheme_wanted(const sweep_options& o, const std::string& name) {
-  if (o.schemes.empty()) return true;
-  for (const auto& s : o.schemes) {
-    if (s == name) return true;
-  }
-  return false;
-}
 
 /// One lineup cell: a named workload shape bound to a registry structure.
 struct lineup_cell {
@@ -171,7 +86,13 @@ struct out_point {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const sweep_options o = parse_args(argc, argv);
+  harness::cli_options defaults;
+  defaults.out = "BENCH.json";
+  defaults.threads = {2};
+  defaults.duration_ms = 200;
+  const harness::cli_options o =
+      harness::parse_cli(argc, argv, harness::kSweepFlags, defaults);
+  const unsigned threads = o.threads[0];
 
   // Resolve the fast path before the first node is allocated: the slab
   // contract forbids toggling with live slab nodes, so the switch is
@@ -191,7 +112,7 @@ int main(int argc, char** argv) {
     // The SMR lineup is the nine core schemes; external baselines (the
     // coarse-mutex cells) ride along labeled, never compared as SMR.
     if (!scheme.caps.core_lineup && !scheme.caps.external_baseline) continue;
-    if (!scheme_wanted(o, scheme.name)) continue;
+    if (!o.scheme_enabled(scheme.name)) continue;
 
     for (const lineup_cell& lc : kCells) {
       // External baselines register their own structures; map the set and
@@ -211,7 +132,7 @@ int main(int argc, char** argv) {
       if (run == nullptr) continue;  // HP/HE x bonsai-class exclusions
 
       workload_config cfg;
-      cfg.threads = o.threads;
+      cfg.threads = threads;
       cfg.duration_ms = o.duration_ms;
       cfg.repeats = o.repeats;
       cfg.seed = o.seed;
@@ -230,7 +151,7 @@ int main(int argc, char** argv) {
         std::string err;
         auto parsed = lab::parse_fault_plan(spec, &err);
         if (!parsed.has_value() ||
-            !(plan = std::move(*parsed)).validate_tids(o.threads, &err)) {
+            !(plan = std::move(*parsed)).validate_tids(threads, &err)) {
           std::fprintf(stderr, "internal fault spec '%s': %s\n", spec,
                        err.c_str());
           return 2;
@@ -239,7 +160,7 @@ int main(int argc, char** argv) {
       }
 
       scheme_params p;
-      p.max_threads = plan.lease_headroom(o.threads);
+      p.max_threads = plan.lease_headroom(threads);
       p.entry_burst = entry_burst;
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
 
@@ -252,7 +173,7 @@ int main(int argc, char** argv) {
                      scheme.name.c_str(), structure, lc.name, bad.c_str());
         status = 4;
       }
-      points.push_back({lc.name, structure, scheme.name, o.threads, r.mops,
+      points.push_back({lc.name, structure, scheme.name, threads, r.mops,
                         static_cast<double>(r.unreclaimed_peak),
                         scheme.caps.external_baseline});
       std::fprintf(stderr, "%-10s %-10s x %-14s %8s mops  peak=%llu\n",
@@ -276,7 +197,7 @@ int main(int argc, char** argv) {
        std::string(o.fastpath ? "on" : "off") +
        "\", \"duration_ms\": " + std::to_string(o.duration_ms) +
        ", \"repeats\": " + std::to_string(o.repeats) +
-       ", \"threads\": " + std::to_string(o.threads) + "},\n";
+       ", \"threads\": " + std::to_string(threads) + "},\n";
   j += "  \"cells\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const out_point& pt = points[i];

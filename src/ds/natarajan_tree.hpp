@@ -213,73 +213,76 @@ class natarajan_tree {
   /// advance; R and S are permanent and need no protection. Peak: four
   /// role handles plus the child being acquired.
   void seek(guard& g, std::uint64_t key, seek_record& r) {
-  retry:
-    r.release();
-    r.ancestor = root_;
-    r.successor = s_;
-    r.parent = s_;
-    // Marked-edge safety: the raw value is kept for its tag bits and only
-    // its untag() is dereferenced.
-    r.leaf_h = g.protect(s_->left);
-    tnode* parent_field = r.leaf_h.get();
-    if constexpr (needs_clean_edges()) {
-      if (tag_of(parent_field) != 0) {
-        // Defensive: the sentinel structure keeps S's left edge clean (the
-        // rightmost leaf of the left subtree is the undeletable inf0), so
-        // this cannot happen in a correct execution; never descend through
-        // a dirty edge regardless.
-        goto retry;
-      }
-    }
-    r.leaf = untag(parent_field);
-
+    // Each pass descends from the root; only schemes that need clean
+    // edges ever leave a pass to restart.
     for (;;) {
-      std::atomic<tnode*>& edge =
-          key < r.leaf->key ? r.leaf->left : r.leaf->right;
-      handle cur_h = g.protect(edge);  // flag/tag bits stay in cur_raw only
-      tnode* cur_raw = cur_h.get();
-      tnode* cur = untag(cur_raw);
-      if (cur == nullptr) {
-        return;
-      }
-      const bool path_edge_clean = !has_tag(parent_field, tag_bit);
-      if (path_edge_clean) {
-        // Role handoff: the old parent becomes the ancestor and the old
-        // leaf becomes the successor. When the parent aliased the
-        // successor (parent_h empty), the successor's handle is the one
-        // protecting the node that is now the ancestor.
-        r.ancestor = r.parent;
-        r.ancestor_h = r.parent_h ? std::move(r.parent_h)
-                                  : std::move(r.successor_h);
-        r.successor = r.leaf;
-        r.successor_h = std::move(r.leaf_h);
-      }
+      r.release();
+      r.ancestor = root_;
+      r.successor = s_;
+      r.parent = s_;
+      // Marked-edge safety: the raw value is kept for its tag bits and only
+      // its untag() is dereferenced.
+      r.leaf_h = g.protect(s_->left);
+      tnode* parent_field = r.leaf_h.get();
       if constexpr (needs_clean_edges()) {
-        if (tag_of(cur_raw) != 0) {
-          // Frozen edge: cur may sit in an already-spliced fragment. Help
-          // the deletion pending at r.leaf — the (ancestor, successor)
-          // window just updated above is exactly its cleanup window — then
-          // restart from the root. Progress: each restart either completes
-          // that deletion or observes another thread's completed splice.
-          seek_record h;
-          h.ancestor = r.ancestor;
-          h.successor = r.successor;
-          h.parent = r.leaf;
-          h.leaf = cur;
-          cleanup(g, key, h);
-          goto retry;
+        if (tag_of(parent_field) != 0) {
+          // Defensive: the sentinel structure keeps S's left edge clean (the
+          // rightmost leaf of the left subtree is the undeletable inf0), so
+          // this cannot happen in a correct execution; never descend through
+          // a dirty edge regardless.
+          continue;
         }
       }
-      r.parent = r.leaf;
-      if (path_edge_clean) {
-        // parent aliases successor: protection lives in successor_h.
-        r.parent_h.reset();
-      } else {
-        r.parent_h = std::move(r.leaf_h);
+      r.leaf = untag(parent_field);
+
+      for (;;) {
+        std::atomic<tnode*>& edge =
+            key < r.leaf->key ? r.leaf->left : r.leaf->right;
+        handle cur_h = g.protect(edge);  // flag/tag bits stay in cur_raw only
+        tnode* cur_raw = cur_h.get();
+        tnode* cur = untag(cur_raw);
+        if (cur == nullptr) {
+          return;
+        }
+        const bool path_edge_clean = !has_tag(parent_field, tag_bit);
+        if (path_edge_clean) {
+          // Role handoff: the old parent becomes the ancestor and the old
+          // leaf becomes the successor. When the parent aliased the
+          // successor (parent_h empty), the successor's handle is the one
+          // protecting the node that is now the ancestor.
+          r.ancestor = r.parent;
+          r.ancestor_h = r.parent_h ? std::move(r.parent_h)
+                                    : std::move(r.successor_h);
+          r.successor = r.leaf;
+          r.successor_h = std::move(r.leaf_h);
+        }
+        if constexpr (needs_clean_edges()) {
+          if (tag_of(cur_raw) != 0) {
+            // Frozen edge: cur may sit in an already-spliced fragment. Help
+            // the deletion pending at r.leaf — the (ancestor, successor)
+            // window just updated above is exactly its cleanup window — then
+            // restart from the root. Progress: each restart either completes
+            // that deletion or observes another thread's completed splice.
+            seek_record h;
+            h.ancestor = r.ancestor;
+            h.successor = r.successor;
+            h.parent = r.leaf;
+            h.leaf = cur;
+            cleanup(g, key, h);
+            break;  // restart from the root
+          }
+        }
+        r.parent = r.leaf;
+        if (path_edge_clean) {
+          // parent aliases successor: protection lives in successor_h.
+          r.parent_h.reset();
+        } else {
+          r.parent_h = std::move(r.leaf_h);
+        }
+        r.leaf = cur;
+        r.leaf_h = std::move(cur_h);
+        parent_field = cur_raw;
       }
-      r.leaf = cur;
-      r.leaf_h = std::move(cur_h);
-      parent_field = cur_raw;
     }
   }
 

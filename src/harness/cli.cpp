@@ -2,69 +2,287 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
+#include <string_view>
 
 namespace hyaline::harness {
 namespace {
 
-std::vector<unsigned> parse_list(const char* s) {
-  std::vector<unsigned> out;
-  const char* p = s;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p) break;
-    // Saturate instead of truncating: a silently wrapped value could slip
-    // past downstream range checks (e.g. the --mix sum-to-100 rule).
-    out.push_back(v > ~0u ? ~0u : static_cast<unsigned>(v));
-    p = *end == ',' ? end + 1 : end;
-  }
-  return out;
+/// A whole unsigned integer: digits only (hex too with base 0), no sign,
+/// no trailing junk, no overflow — `5ms` and `-1` are errors, not 5 and
+/// 2^64-1.
+bool read_u64(const char* v, std::uint64_t& out, int base = 10) {
+  if (!std::isdigit(static_cast<unsigned char>(v[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoull(v, &end, base);
+  return errno == 0 && *end == '\0';
 }
 
-std::vector<std::string> parse_names(const char* s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = s;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-      if (*p == '\0') break;
+template <class T>
+bool read_uint(const char* v, T min, T& out) {
+  std::uint64_t n = 0;
+  if (!read_u64(v, n) || n < min || n > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  out = static_cast<T>(n);
+  return true;
+}
+
+bool read_double(const char* v, double& out) {
+  char* end = nullptr;
+  out = std::strtod(v, &end);
+  return end != v && *end == '\0' && std::isfinite(out);
+}
+
+/// Comma-separated elements, none empty, at least one.
+std::vector<std::string> split(const char* v) {
+  std::vector<std::string> out(1);
+  for (const char* p = v; *p != '\0'; ++p) {
+    if (*p == ',') {
+      out.emplace_back();
     } else {
-      cur.push_back(*p);
+      out.back().push_back(*p);
     }
   }
+  for (const std::string& s : out) {
+    if (s.empty()) return {};
+  }
   return out;
 }
 
-[[noreturn]] void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--threads a,b,...] [--stalled a,b,...]\n"
-               "          [--duration ms] [--repeats n] [--prefill n]\n"
-               "          [--range n] [--schemes name,...]\n"
-               "          [--mix insert,remove,get]\n"
-               "          [--producers a,b,...] [--consumers a,b,...]\n"
-               "          [--seed n] [--faults spec] [--sample-ms n]\n"
-               "          [--structure name] [--lat-sample n]\n"
-               "          [--trace path] [--metrics path]\n"
-               "          [--json path] [--full]\n"
-               "          [--mutate mode] [--counterexample path]\n"
-               "          [--svc-shards n] [--tenants n] [--rate ops/s]\n"
-               "          [--skew theta] [--arrival fixed|poisson]\n"
-               "          [--tenant-script spec] [--slo spec] [--churn ms]\n",
-               prog);
-  std::exit(2);
+bool read_list(const char* v, unsigned min, std::vector<unsigned>& out) {
+  std::vector<unsigned> vals;
+  for (const std::string& s : split(v)) {
+    if (!read_uint(s.c_str(), min, vals.emplace_back())) return false;
+  }
+  if (vals.empty()) return false;
+  out = std::move(vals);
+  return true;
 }
 
-void warn_duplicate(const char* flag, unsigned v) {
-  std::fprintf(stderr, "%s: ignoring duplicate entry '%u'\n", flag, v);
+bool read_text(const char* v, std::string& out) {
+  out = v;
+  return !out.empty();
 }
 
-void warn_duplicate(const char* flag, const std::string& v) {
-  std::fprintf(stderr, "%s: ignoring duplicate entry '%s'\n", flag,
+bool read_choice(const char* v, const char* a, const char* b,
+                 std::string& out) {
+  if (std::string_view(v) != a && std::string_view(v) != b) return false;
+  out = v;
+  return true;
+}
+
+/// One flag: `apply` parses and range-checks the value into the options
+/// and returns false when the value is not `wants`. `hint` is nullptr for
+/// a flag that takes no value.
+struct flag_row {
+  flag id;
+  const char* name;
+  const char* hint;
+  const char* help;
+  const char* wants;
+  bool (*apply)(const char* v, cli_options& o);
+};
+
+constexpr const char* kCounts = "a comma-separated list of integers >= 1";
+constexpr const char* kCountsOrZero =
+    "a comma-separated list of integers >= 0";
+constexpr const char* kPositive = "an integer >= 1";
+constexpr const char* kPath = "a non-empty path";
+constexpr const char* kSpec = "a non-empty spec";
+
+constexpr flag_row kRows[] = {
+    {flag::threads, "--threads", "a,b,...", "thread counts to sweep",
+     kCounts,
+     [](const char* v, cli_options& o) { return read_list(v, 1, o.threads); }},
+    {flag::thread_count, "--threads", "n", "worker thread count", kPositive,
+     [](const char* v, cli_options& o) {
+       unsigned n = 0;
+       if (!read_uint(v, 1u, n)) return false;
+       o.threads = {n};
+       return true;
+     }},
+    {flag::stalled, "--stalled", "a,b,...",
+     "stalled-thread counts to sweep",
+     kCountsOrZero,
+     [](const char* v, cli_options& o) { return read_list(v, 0, o.stalled); }},
+    {flag::producers, "--producers", "a,b,...",
+     "producer-thread counts, zipped with --consumers",
+     kCountsOrZero,
+     [](const char* v, cli_options& o) {
+       return read_list(v, 0, o.producers);
+     }},
+    {flag::consumers, "--consumers", "a,b,...",
+     "consumer-thread counts, zipped with --producers", kCountsOrZero,
+     [](const char* v, cli_options& o) {
+       return read_list(v, 0, o.consumers);
+     }},
+    {flag::duration, "--duration", "ms", "run time per data point",
+     kPositive,
+     [](const char* v, cli_options& o) {
+       return read_uint(v, 1u, o.duration_ms);
+     }},
+    {flag::repeats, "--repeats", "n", "runs averaged per data point",
+     kPositive,
+     [](const char* v, cli_options& o) { return read_uint(v, 1u, o.repeats); }},
+    {flag::full, "--full", nullptr,
+     "paper scale: 10 s runs, 5 repeats", nullptr,
+     [](const char*, cli_options& o) {
+       o.full = true;
+       return true;
+     }},
+    {flag::prefill, "--prefill", "n", "initial element count (paper: 50000)",
+     "an integer >= 0",
+     [](const char* v, cli_options& o) {
+       return read_uint<std::size_t>(v, 0, o.prefill);
+     }},
+    {flag::range, "--range", "n", "key range (paper: 100000)", kPositive,
+     [](const char* v, cli_options& o) {
+       return read_uint<std::uint64_t>(v, 1, o.key_range);
+     }},
+    // A mix that does not sum to 100 would silently skew the op
+    // distribution (the dice remainder falls through to get).
+    {flag::mix, "--mix", "i,r,g",
+     "op mix in percent: insert,remove,get (sum 100)",
+     "three percentages insert,remove,get summing to 100",
+     [](const char* v, cli_options& o) {
+       std::vector<unsigned> m;
+       if (!read_list(v, 0, m) || m.size() != 3 ||
+           std::uint64_t{m[0]} + m[1] + m[2] != 100) {
+         return false;
+       }
+       o.mix = std::move(m);
+       return true;
+     }},
+    {flag::schemes, "--schemes", "a,b,...", "run only these schemes",
+     "a comma-separated list of scheme names",
+     [](const char* v, cli_options& o) {
+       std::vector<std::string> names = split(v);
+       if (names.empty()) return false;
+       o.schemes = std::move(names);
+       return true;
+     }},
+    // Base 0: hex seeds (0x5eed) round-trip from the CSV header comment.
+    {flag::seed, "--seed", "n",
+     "base PRNG seed of every workload (0x hex accepted)",
+     "an integer (decimal or 0x hex)",
+     [](const char* v, cli_options& o) { return read_u64(v, o.seed, 0); }},
+    // A power of two keeps the per-op modulo a mask and the sampled-op
+    // spacing exact; 0 would divide by zero.
+    {flag::lat_sample, "--lat-sample", "n",
+     "time one in n operations (a power of two)",
+     "a power of two >= 1",
+     [](const char* v, cli_options& o) {
+       return read_u64(v, o.lat_sample) && std::has_single_bit(o.lat_sample);
+     }},
+    {flag::faults, "--faults", "spec",
+     "fault schedule (grammar in lab/fault_plan.hpp)", kSpec,
+     [](const char* v, cli_options& o) { return read_text(v, o.faults); }},
+    {flag::structure, "--structure", "name",
+     "drive only this registered structure", "a structure name",
+     [](const char* v, cli_options& o) { return read_text(v, o.structure); }},
+    {flag::sample_ms, "--sample-ms", "ms", "telemetry sampling period",
+     kPositive,
+     [](const char* v, cli_options& o) {
+       return read_uint(v, 1u, o.sample_ms);
+     }},
+    {flag::json, "--json", "path",
+     "also write the run and its config as JSON", kPath,
+     [](const char* v, cli_options& o) { return read_text(v, o.json); }},
+    {flag::trace, "--trace", "path",
+     "write SMR events as Chrome trace JSON", kPath,
+     [](const char* v, cli_options& o) { return read_text(v, o.trace); }},
+    {flag::metrics, "--metrics", "path",
+     "write a Prometheus snapshot of the counters", kPath,
+     [](const char* v, cli_options& o) { return read_text(v, o.metrics); }},
+    {flag::mutate, "--mutate", "mode",
+     "oracle self-test, must exit 5: drop-validate|skip-protect",
+     "drop-validate or skip-protect",
+     [](const char* v, cli_options& o) {
+       return read_choice(v, "drop-validate", "skip-protect", o.mutate);
+     }},
+    {flag::counterexample, "--counterexample", "path",
+     "also write each violation's history to this file", kPath,
+     [](const char* v, cli_options& o) {
+       return read_text(v, o.counterexample);
+     }},
+    {flag::svc_shards, "--svc-shards", "n",
+     "cache shards, one SMR domain each", kPositive,
+     [](const char* v, cli_options& o) {
+       return read_uint(v, 1u, o.svc_shards);
+     }},
+    {flag::tenants, "--tenants", "n", "tenant (worker thread) count",
+     kPositive,
+     [](const char* v, cli_options& o) { return read_uint(v, 1u, o.tenants); }},
+    {flag::rate, "--rate", "ops/s", "total offered load (0 = closed loop)",
+     "a non-negative ops/s",
+     [](const char* v, cli_options& o) {
+       return read_double(v, o.rate_ops_s) && o.rate_ops_s >= 0;
+     }},
+    // theta = 1 makes the Zipf normalization's alpha = 1/(1-theta)
+    // diverge; the YCSB-style generator is defined on [0, 1).
+    {flag::skew, "--skew", "theta", "Zipfian key skew in [0, 1)",
+     "a theta in [0, 1)",
+     [](const char* v, cli_options& o) {
+       return read_double(v, o.skew) && o.skew >= 0 && o.skew < 1;
+     }},
+    {flag::arrival, "--arrival", "kind", "request arrivals: fixed | poisson",
+     "fixed or poisson",
+     [](const char* v, cli_options& o) {
+       return read_choice(v, "fixed", "poisson", o.arrival);
+     }},
+    {flag::tenant_script, "--tenant-script", "spec",
+     "bad-tenant schedule (grammar in svc/tenant.hpp)", kSpec,
+     [](const char* v, cli_options& o) {
+       return read_text(v, o.tenant_script);
+     }},
+    {flag::slo, "--slo", "spec",
+     "SLO gate, exit 6 on a violation (grammar in svc/slo.hpp)", kSpec,
+     [](const char* v, cli_options& o) { return read_text(v, o.slo); }},
+    {flag::churn, "--churn", "ms", "connection-churn period", kPositive,
+     [](const char* v, cli_options& o) {
+       return read_uint(v, 1u, o.churn_ms);
+     }},
+    {flag::out, "--out", "path", "trajectory file to write", kPath,
+     [](const char* v, cli_options& o) { return read_text(v, o.out); }},
+    {flag::iters, "--iters", "n", "timed iterations per primitive",
+     kPositive,
+     [](const char* v, cli_options& o) {
+       return read_uint<std::uint64_t>(v, 1, o.iters);
+     }},
+    {flag::fastpath, "--fastpath", "on|off",
+     "slab allocator and amortized guard entry", "on or off",
+     [](const char* v, cli_options& o) {
+       std::string s;
+       if (!read_choice(v, "on", "off", s)) return false;
+       o.fastpath = s == "on";
+       return true;
+     }},
+};
+
+constexpr bool rows_follow_enum() {
+  if (std::size(kRows) != kFlagCount) return false;
+  for (unsigned i = 0; i < kFlagCount; ++i) {
+    if (kRows[i].id != static_cast<flag>(i)) return false;
+  }
+  return true;
+}
+static_assert(rows_follow_enum(), "kRows must list every flag in enum order");
+
+void warn_duplicate(const char* flag_text, unsigned v) {
+  std::fprintf(stderr, "%s: ignoring duplicate entry '%u'\n", flag_text, v);
+}
+
+void warn_duplicate(const char* flag_text, const std::string& v) {
+  std::fprintf(stderr, "%s: ignoring duplicate entry '%s'\n", flag_text,
                v.c_str());
 }
 
@@ -73,12 +291,12 @@ void warn_duplicate(const char* flag, const std::string& v) {
 /// series twice, skewing any averaging done over the CSV — warn instead
 /// of multiplying work.
 template <class T>
-void dedupe_list(std::vector<T>& v, const char* flag) {
+void dedupe_list(std::vector<T>& v, const char* flag_text) {
   std::vector<T> out;
   out.reserve(v.size());
   for (T& x : v) {
     if (std::find(out.begin(), out.end(), x) != out.end()) {
-      warn_duplicate(flag, x);
+      warn_duplicate(flag_text, x);
     } else {
       out.push_back(std::move(x));
     }
@@ -86,13 +304,12 @@ void dedupe_list(std::vector<T>& v, const char* flag) {
   v = std::move(out);
 }
 
-}  // namespace
-
-bool cli_options::service_flag_set() const {
-  return svc_shards != 0 || tenants != 0 || rate_ops_s >= 0 || skew >= 0 ||
-         !arrival.empty() || !tenant_script.empty() || !slo.empty() ||
-         churn_ms != 0;
+const char* base_name(const char* path) {
+  const char* slash = std::strrchr(path, '/');
+  return slash != nullptr ? slash + 1 : path;
 }
+
+}  // namespace
 
 bool cli_options::scheme_enabled(const std::string& name) const {
   if (schemes.empty()) return true;
@@ -102,149 +319,37 @@ bool cli_options::scheme_enabled(const std::string& name) const {
   return false;
 }
 
-cli_options parse_cli(int argc, char** argv, cli_options defaults) {
-  cli_options o = defaults;
+const char* flag_name(flag f) { return kRows[static_cast<unsigned>(f)].name; }
+
+bool parse_flags(int argc, char** argv, flag_set accepted, cli_options& o,
+                 std::string& err) {
   for (int i = 1; i < argc; ++i) {
-    auto need_val = [&](const char* flag) -> const char* {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      o.help = true;
+      continue;
+    }
+    const flag_row* row = nullptr;
+    for (const flag_row& r : kRows) {
+      if (accepted.has(r.id) && arg == r.name) row = &r;
+    }
+    if (row == nullptr) {
+      err = "unknown flag '" + std::string(arg) + "'";
+      return false;
+    }
+    o.given.add(row->id);
+    const char* v = nullptr;
+    if (row->hint != nullptr) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        usage(argv[0]);
+        err = std::string(row->name) + " requires a value (" + row->hint + ")";
+        return false;
       }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = parse_list(need_val("--threads"));
-      o.threads_set = true;
-    } else if (std::strcmp(argv[i], "--stalled") == 0) {
-      o.stalled = parse_list(need_val("--stalled"));
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      o.duration_ms =
-          static_cast<unsigned>(std::strtoul(need_val("--duration"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--repeats") == 0) {
-      o.repeats =
-          static_cast<unsigned>(std::strtoul(need_val("--repeats"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--prefill") == 0) {
-      o.prefill = std::strtoull(need_val("--prefill"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--range") == 0) {
-      o.key_range = std::strtoull(need_val("--range"), nullptr, 10);
-      o.range_set = true;
-    } else if (std::strcmp(argv[i], "--producers") == 0) {
-      o.producers = parse_list(need_val("--producers"));
-    } else if (std::strcmp(argv[i], "--consumers") == 0) {
-      o.consumers = parse_list(need_val("--consumers"));
-    } else if (std::strcmp(argv[i], "--schemes") == 0) {
-      o.schemes = parse_names(need_val("--schemes"));
-    } else if (std::strcmp(argv[i], "--mix") == 0) {
-      o.mix = parse_list(need_val("--mix"));
-      // Reject malformed mixes up front: a mix that does not sum to 100
-      // would silently skew the op distribution (the dice remainder falls
-      // through to get). Sum in 64 bits so huge values cannot wrap back
-      // to 100.
-      unsigned long long sum = 0;
-      for (unsigned v : o.mix) sum += v;
-      if (o.mix.size() != 3 || sum != 100) {
-        std::fprintf(stderr,
-                     "--mix wants three percentages insert,remove,get "
-                     "summing to 100 (got %zu values, sum %llu)\n",
-                     o.mix.size(), sum);
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      // Base 0: hex seeds (0x5eed) round-trip from the header comment.
-      o.seed = std::strtoull(need_val("--seed"), nullptr, 0);
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      o.faults = need_val("--faults");
-    } else if (std::strcmp(argv[i], "--sample-ms") == 0) {
-      o.sample_ms = static_cast<unsigned>(
-          std::strtoul(need_val("--sample-ms"), nullptr, 10));
-      o.sample_ms_set = true;
-      if (o.sample_ms == 0) {
-        std::fprintf(stderr, "--sample-ms must be >= 1\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--structure") == 0) {
-      o.structure = need_val("--structure");
-    } else if (std::strcmp(argv[i], "--lat-sample") == 0) {
-      const char* v = need_val("--lat-sample");
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      // Power of two keeps the per-op modulo a mask and makes the
-      // sampled-op spacing exact; 0 would divide by zero.
-      if (end == v || *end != '\0' || !std::has_single_bit(n)) {
-        std::fprintf(stderr,
-                     "--lat-sample wants a power of two >= 1 (got '%s')\n",
-                     v);
-        usage(argv[0]);
-      }
-      o.lat_sample = n;
-      o.lat_sample_set = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      o.trace = need_val("--trace");
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      o.metrics = need_val("--metrics");
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      o.json = need_val("--json");
-    } else if (std::strcmp(argv[i], "--mutate") == 0) {
-      o.mutate = need_val("--mutate");
-    } else if (std::strcmp(argv[i], "--counterexample") == 0) {
-      o.counterexample = need_val("--counterexample");
-    } else if (std::strcmp(argv[i], "--svc-shards") == 0) {
-      o.svc_shards = static_cast<unsigned>(
-          std::strtoul(need_val("--svc-shards"), nullptr, 10));
-      if (o.svc_shards == 0) {
-        std::fprintf(stderr, "--svc-shards must be >= 1\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--tenants") == 0) {
-      o.tenants = static_cast<unsigned>(
-          std::strtoul(need_val("--tenants"), nullptr, 10));
-      if (o.tenants == 0) {
-        std::fprintf(stderr, "--tenants must be >= 1\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--rate") == 0) {
-      const char* v = need_val("--rate");
-      char* end = nullptr;
-      o.rate_ops_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || o.rate_ops_s < 0) {
-        std::fprintf(stderr,
-                     "--rate wants a non-negative ops/s (0 = closed loop)\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--skew") == 0) {
-      const char* v = need_val("--skew");
-      char* end = nullptr;
-      o.skew = std::strtod(v, &end);
-      // theta = 1 makes the Zipf normalization's alpha = 1/(1-theta)
-      // diverge; the YCSB-style generator is defined on [0, 1).
-      if (end == v || *end != '\0' || o.skew < 0 || o.skew >= 1) {
-        std::fprintf(stderr, "--skew wants a theta in [0, 1)\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--arrival") == 0) {
-      o.arrival = need_val("--arrival");
-      if (o.arrival != "fixed" && o.arrival != "poisson") {
-        std::fprintf(stderr, "--arrival wants 'fixed' or 'poisson'\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--tenant-script") == 0) {
-      o.tenant_script = need_val("--tenant-script");
-    } else if (std::strcmp(argv[i], "--slo") == 0) {
-      o.slo = need_val("--slo");
-    } else if (std::strcmp(argv[i], "--churn") == 0) {
-      o.churn_ms = static_cast<unsigned>(
-          std::strtoul(need_val("--churn"), nullptr, 10));
-      if (o.churn_ms == 0) {
-        std::fprintf(stderr, "--churn must be >= 1 (omit for no churn)\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--full") == 0) {
-      o.full = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage(argv[0]);
+      v = argv[++i];
+    }
+    if (!row->apply(v, o)) {
+      err = std::string(row->name) + " wants " + row->wants + " (got '" + v +
+            "')";
+      return false;
     }
   }
   if (o.full) {
@@ -254,6 +359,38 @@ cli_options parse_cli(int argc, char** argv, cli_options defaults) {
   dedupe_list(o.threads, "--threads");
   dedupe_list(o.stalled, "--stalled");
   dedupe_list(o.schemes, "--schemes");
+  return true;
+}
+
+std::string help_text(const char* prog, flag_set accepted) {
+  std::string s = "usage: " + std::string(base_name(prog)) + " [flags]\n";
+  for (const flag_row& r : kRows) {
+    if (!accepted.has(r.id)) continue;
+    char line[160];
+    const std::string name =
+        std::string(r.name) + (r.hint != nullptr ? " " : "") +
+        (r.hint != nullptr ? r.hint : "");
+    std::snprintf(line, sizeof line, "  %-22s %s\n", name.c_str(), r.help);
+    s += line;
+  }
+  s += "  --help                 print this list\n";
+  return s;
+}
+
+cli_options parse_cli(int argc, char** argv, flag_set accepted,
+                      cli_options defaults) {
+  cli_options o = std::move(defaults);
+  std::string err;
+  const char* prog = base_name(argv[0]);
+  if (!parse_flags(argc, argv, accepted, o, err)) {
+    std::fprintf(stderr, "%s: %s; run '%s --help' for its flags\n", prog,
+                 err.c_str(), prog);
+    std::exit(2);
+  }
+  if (o.help) {
+    std::fputs(help_text(prog, accepted).c_str(), stdout);
+    std::exit(0);
+  }
   return o;
 }
 

@@ -1,75 +1,22 @@
-// Minimal command-line parsing shared by the benchmark binaries.
+// Command-line parsing shared by the benchmark binaries: one flag table.
 //
-// Supported flags (all optional; each bench supplies paper-shaped
-// defaults scaled to finish quickly on a laptop/CI box):
-//   --threads 1,2,4,8    thread counts to sweep
-//   --duration <ms>      per-data-point run time
-//   --repeats <n>        runs averaged per point (paper uses 5)
-//   --prefill <n>        initial element count (paper: 50000)
-//   --range <n>          key range (paper: 100000)
-//   --stalled 0,1,...    stalled-thread counts (fig10a)
-//   --schemes a,b        restrict to named schemes (validated against the
-//                        runtime scheme registry by the figure drivers)
-//   --mix i,r,g          op-mix percentages (insert,remove,get); rejected
-//                        unless they sum to exactly 100 (set figures only)
-//   --producers a,b,...  producer-thread counts  (container figures only;
-//   --consumers a,b,...  consumer-thread counts   zipped pairwise into
-//                        (producers, consumers) sweep points)
-//   --seed <n>           base PRNG seed threaded through every workload
-//                        generator (prefill, workers, stall draws); echoed
-//                        in the CSV header comment and the --json config
-//                        block so any run can be reproduced exactly
-//   --faults <spec>      timeline figures only: fault-injection schedule
-//                        (grammar in lab/fault_plan.hpp)
-//   --sample-ms <n>      timeline figures only: telemetry cadence
-//   --structure <name>   timeline figures only: structure to drive
-//   --lat-sample <n>     latency-sampling period: one in n operations is
-//                        timed (default 32; must be a power of two so the
-//                        modulo stays a mask); echoed in the CSV header
-//                        comment and the --json config block
-//   --trace <path>       record SMR-internals events (guard enter/exit,
-//                        retire, scan, finalize, free, era advance,
-//                        stall windows) into per-thread ring buffers and
-//                        export them as Chrome trace-event JSON on exit
-//                        (load in Perfetto / chrome://tracing). Bounded
-//                        memory: oldest records are overwritten, drops are
-//                        counted in the trace metadata
-//   --metrics <path>     service scenario only: write a Prometheus-style
-//                        text snapshot of the domain counters and the
-//                        retire->free lag histogram at end of run
-//   --json <path>        also write the run as machine-readable JSON
-//                        (per-scheme throughput + unreclaimed + latency
-//                        series plus the resolved workload config as
-//                        metadata; timeline figures add the time series)
-//   --mutate <mode>      check binary only: run an injected-bug self-test
-//                        (drop-validate | skip-protect) instead of the
-//                        matrix; the checker is expected to catch it
-//   --counterexample <p> check binary only: on a violation, also write
-//                        the counterexample history to this file (CI
-//                        uploads it as a workflow artifact)
-//   --svc-shards <n>     service scenario only: cache shard count (each
-//                        shard owns its own SMR domain)
-//   --tenants <n>        service scenario only: swarm size
-//   --rate <ops/s>       service scenario only: total offered load,
-//                        split over the tenants (0 = closed loop)
-//   --skew <theta>       service scenario only: Zipfian skew in [0, 1)
-//   --arrival <kind>     service scenario only: fixed | poisson
-//   --tenant-script <s>  service scenario only: bad-tenant schedule
-//                        (grammar in svc/tenant.hpp)
-//   --slo <spec>         service scenario only: SLO assertions
-//                        (grammar in svc/slo.hpp); any gated violation
-//                        exits 6
-//   --churn <ms>         service scenario only: connection-churn period
-//   --full               paper-scale settings (duration 10s, repeats 5)
+// Every flag has one row in cli.cpp: its name, its value hint, its
+// one-line help text, and the rule that parses and range-checks its
+// value. Each binary names the set of rows it takes (the k*Flags sets
+// below); parse_cli rejects every other flag with exit 2, `--help` lists
+// exactly the binary's rows, and `cli_options::given` records which flags
+// appeared. The help strings are the flag reference: run any binary with
+// `--help`.
 //
-// Duplicate entries in the --schemes, --threads, and --stalled lists are
-// deduplicated with a warning: each would silently re-run (and re-plot)
-// an identical series, which skews averaged CSV post-processing. The
+// Duplicate entries in the --schemes, --threads and --stalled lists are
+// dropped with a warning: each would silently re-run (and re-plot) an
+// identical series, which skews averaged CSV post-processing. The
 // container figure driver applies the same rule to its zipped
 // (producers, consumers) sweep points.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -87,8 +34,124 @@ inline constexpr const char* kCsvColumns[] = {
     "lag_max_ns",
 };
 
+/// One row of the flag table. `threads` and `thread_count` are the same
+/// `--threads` flag: a sweep list for the binaries that sweep it, one
+/// count for the binaries that run a single thread count.
+enum class flag : unsigned {
+  threads,
+  thread_count,
+  stalled,
+  producers,
+  consumers,
+  duration,
+  repeats,
+  full,
+  prefill,
+  range,
+  mix,
+  schemes,
+  seed,
+  lat_sample,
+  faults,
+  structure,
+  sample_ms,
+  json,
+  trace,
+  metrics,
+  mutate,
+  counterexample,
+  svc_shards,
+  tenants,
+  rate,
+  skew,
+  arrival,
+  tenant_script,
+  slo,
+  churn,
+  out,
+  iters,
+  fastpath,
+  count_,
+};
+
+inline constexpr unsigned kFlagCount = static_cast<unsigned>(flag::count_);
+
+/// A set of flag-table rows: the flags one binary takes, or the flags one
+/// command line gave.
+class flag_set {
+ public:
+  constexpr flag_set() = default;
+  constexpr flag_set(std::initializer_list<flag> fs) {
+    for (flag f : fs) add(f);
+  }
+  constexpr void add(flag f) { bits_ |= bit(f); }
+  constexpr bool has(flag f) const { return (bits_ & bit(f)) != 0; }
+
+ private:
+  static constexpr std::uint64_t bit(flag f) {
+    return std::uint64_t{1} << static_cast<unsigned>(f);
+  }
+  std::uint64_t bits_ = 0;
+};
+
+static_assert(kFlagCount <= 64, "flag_set holds one bit per flag");
+
+/// The matrix figures (fig8/9/11/12/13-16): four structures x the scheme
+/// line-up x a thread sweep.
+inline constexpr flag_set kMatrixFlags = {
+    flag::threads,  flag::duration, flag::repeats, flag::full,
+    flag::prefill,  flag::range,    flag::mix,     flag::schemes,
+    flag::seed,     flag::lat_sample, flag::json,  flag::trace};
+/// fig10b: the hash map with trim() on and off; the same knobs as the
+/// matrix figures.
+inline constexpr flag_set kTrimFlags = kMatrixFlags;
+/// fig10a: one active thread count, sweeping stalled threads.
+inline constexpr flag_set kRobustnessFlags = {
+    flag::thread_count, flag::stalled,  flag::duration, flag::repeats,
+    flag::full,         flag::prefill,  flag::range,    flag::mix,
+    flag::schemes,      flag::seed,     flag::lat_sample, flag::json,
+    flag::trace};
+/// fig_queue: the container family over (producers, consumers) pairs.
+inline constexpr flag_set kContainerFlags = {
+    flag::producers, flag::consumers, flag::duration, flag::repeats,
+    flag::full,      flag::prefill,   flag::schemes,  flag::seed,
+    flag::lat_sample, flag::json,     flag::trace};
+/// fig_timeline: one structure, one thread count, one repetition, under
+/// a fault schedule.
+inline constexpr flag_set kTimelineFlags = {
+    flag::thread_count, flag::duration,  flag::prefill, flag::range,
+    flag::mix,          flag::schemes,   flag::seed,    flag::lat_sample,
+    flag::faults,       flag::structure, flag::sample_ms, flag::json,
+    flag::trace};
+/// fig_service: the sharded cache under a tenant swarm, sized by
+/// --tenants; every paced op is timed, so no --lat-sample.
+inline constexpr flag_set kServiceFlags = {
+    flag::duration,  flag::prefill,       flag::range,   flag::mix,
+    flag::schemes,   flag::seed,          flag::sample_ms, flag::json,
+    flag::trace,     flag::metrics,       flag::svc_shards, flag::tenants,
+    flag::rate,      flag::skew,          flag::arrival, flag::tenant_script,
+    flag::slo,       flag::churn};
+/// check: the linearizability oracle, one repetition per cell.
+inline constexpr flag_set kCheckFlags = {
+    flag::thread_count, flag::duration, flag::prefill,   flag::range,
+    flag::mix,          flag::schemes,  flag::seed,      flag::faults,
+    flag::structure,    flag::mutate,   flag::counterexample};
+/// ablation_hyaline: the hash map under batch/slot/head/era variants.
+inline constexpr flag_set kAblationFlags = {
+    flag::threads, flag::duration, flag::repeats,   flag::full,
+    flag::prefill, flag::range,    flag::seed,      flag::lat_sample};
+/// sweep: the pinned trajectory lineup.
+inline constexpr flag_set kSweepFlags = {
+    flag::out,  flag::thread_count, flag::duration, flag::repeats,
+    flag::seed, flag::fastpath,     flag::schemes};
+/// fig_opcost: single-thread per-primitive costs.
+inline constexpr flag_set kOpcostFlags = {flag::iters, flag::fastpath,
+                                          flag::schemes, flag::json};
+
+/// Parsed command line. Each binary seeds the fields it reads with its
+/// own defaults before parsing; fields of flags outside its set keep them.
 struct cli_options {
-  std::vector<unsigned> threads;
+  std::vector<unsigned> threads;  ///< never empty once parsed with --threads
   std::vector<unsigned> stalled;
   unsigned duration_ms = 300;
   unsigned repeats = 1;
@@ -96,73 +159,66 @@ struct cli_options {
   std::size_t prefill = 50000;
   std::vector<std::string> schemes;  // empty = all
   /// Op-mix override {insert,remove,get}; empty = the figure's default.
-  /// parse_cli guarantees: empty, or exactly 3 values summing to 100.
+  /// Given: exactly 3 values summing to 100.
   std::vector<unsigned> mix;
-  /// Producer/consumer sweep lists (container figures). Empty = the
-  /// figure's defaults; the figure driver zips them pairwise.
+  /// Producer/consumer sweep lists (container figures); the figure driver
+  /// zips them pairwise.
   std::vector<unsigned> producers;
   std::vector<unsigned> consumers;
-  /// True iff --range / --threads were given explicitly (the value alone
-  /// cannot tell — defaults are figure-supplied). Container figures
-  /// reject these set-only flags, which would otherwise be silently
-  /// ignored.
-  bool range_set = false;
-  bool threads_set = false;
   /// Base PRNG seed for every workload generator (default matches
   /// workload_config's).
   std::uint64_t seed = 0x5eed;
-  /// Robustness-lab knobs (timeline figures only; other kinds reject
-  /// them). `faults` is the raw spec text — parsed and validated by the
-  /// timeline driver, which knows the thread count.
+  /// Fault schedule text, parsed and validated by the driver, which knows
+  /// the thread count.
   std::string faults;
-  unsigned sample_ms = 0;
-  bool sample_ms_set = false;
+  unsigned sample_ms = 10;  ///< telemetry sampling period
   std::string structure;
   /// Latency-sampling period: one in `lat_sample` operations is timed.
-  /// parse_cli guarantees a power of two >= 1. `lat_sample_set` marks an
-  /// explicit flag (the service scenario records every op CO-safely and
-  /// rejects the flag rather than silently ignoring it).
+  /// Always a power of two >= 1.
   std::uint64_t lat_sample = 32;
-  bool lat_sample_set = false;
-  /// Path for the Chrome trace-event JSON export of the SMR-internals
-  /// event rings (empty = tracing stays off).
-  std::string trace;
-  /// Path for the Prometheus-style counter snapshot (fig_service only;
-  /// empty = none).
-  std::string metrics;
-  /// Path for the machine-readable JSON trajectory file (empty = none).
-  std::string json;
-  /// Correctness-oracle knobs (the check binary only; figure binaries
-  /// reject them): `mutate` selects an injected-bug self-test
-  /// (drop-validate | skip-protect), `counterexample` is where a
-  /// violation's counterexample history is mirrored.
-  std::string mutate;
+  std::string trace;    ///< Chrome trace-event export path (empty = off)
+  std::string metrics;  ///< Prometheus snapshot path (empty = none)
+  std::string json;     ///< JSON trajectory path (empty = none)
+  std::string mutate;   ///< oracle self-test mode (empty = the matrix)
   std::string counterexample;
-  /// Service-scenario knobs (fig_service only; other figures reject
-  /// them). Sentinels mark "unset" so the driver can apply its own
-  /// defaults: 0 for the counts/periods, negative for the rates, empty
-  /// for the specs.
   unsigned svc_shards = 0;    ///< cache shards (each owns a domain)
   unsigned tenants = 0;       ///< swarm size (worker threads)
-  double rate_ops_s = -1;     ///< total offered load; 0 = closed loop
-  double skew = -1;           ///< Zipfian theta in [0, 1); 0 = uniform
+  double rate_ops_s = 0;      ///< total offered load; 0 = closed loop
+  double skew = 0;            ///< Zipfian theta in [0, 1); 0 = uniform
   std::string arrival;        ///< fixed | poisson
   std::string tenant_script;  ///< bad-tenant spec (svc/tenant.hpp)
   std::string slo;            ///< SLO spec (svc/slo.hpp)
   unsigned churn_ms = 0;      ///< connection-churn period; 0 = none
+  std::string out;            ///< trajectory file (sweep)
+  std::uint64_t iters = 0;    ///< timed iterations per primitive
+  bool fastpath = true;       ///< slab allocator + amortized guard entry
   bool full = false;
-
-  /// True if any service-scenario flag was given (used by the figure
-  /// kinds that must reject them).
-  bool service_flag_set() const;
+  bool help = false;
+  /// The flags this command line gave.
+  flag_set given;
 
   /// True if `name` should run under the --schemes filter.
   bool scheme_enabled(const std::string& name) const;
 };
 
-/// Parse argv; exits with a usage message on malformed input. `defaults`
-/// seeds the sweep lists benches want when flags are absent.
-cli_options parse_cli(int argc, char** argv, cli_options defaults);
+/// `--name` of a flag-table row.
+const char* flag_name(flag f);
+
+/// Parse argv[1..] against the flag set into `o`, which holds the
+/// binary's defaults on entry. Returns false with the reason in `err`
+/// (naming the offending flag) on a flag outside `accepted`, a missing
+/// value, or a value its row's rule rejects. `--help` sets `o.help`.
+bool parse_flags(int argc, char** argv, flag_set accepted, cli_options& o,
+                 std::string& err);
+
+/// The `--help` text: a usage line for `prog`, then one line per flag in
+/// `accepted`.
+std::string help_text(const char* prog, flag_set accepted);
+
+/// parse_flags for a binary's main(): on an error prints it with the
+/// binary's name and exits 2; on `--help` prints help_text and exits 0.
+cli_options parse_cli(int argc, char** argv, flag_set accepted,
+                      cli_options defaults);
 
 /// Print the standard CSV header used by all figure benches: a comment
 /// line naming the figure, one echoing the seed, one echoing the

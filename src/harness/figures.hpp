@@ -25,7 +25,7 @@ enum class figure_kind {
   /// Container family (msqueue + stack) × scheme line-up, sweeping
   /// (producers, consumers) pairs (fig_queue). Containers take the
   /// producer/consumer split instead of the set-only key_range/op-mix/
-  /// thread knobs; run_figure validates the two option families per kind.
+  /// thread knobs.
   container,
   /// Robustness lab (fig_timeline): one structure (--structure, set or
   /// container), single thread count, single repetition, scheme line-up,
@@ -34,13 +34,6 @@ enum class figure_kind {
   /// unreclaimed must return to its pre-fault baseline after the last
   /// fault clears, or the binary exits non-zero.
   timeline,
-  /// Service scenario (fig_service): a sharded cache under an open-loop
-  /// tenant swarm with SLO gating. Takes the --tenants/--svc-shards/
-  /// --rate/--skew/--arrival/--tenant-script/--slo/--churn family (plus
-  /// --mix/--range/--sample-ms); sized by tenants, not --threads. Runs
-  /// through its own driver (bench/fig_service.cpp), not run_figure —
-  /// the kind exists so option validation covers both directions.
-  service,
 };
 
 struct figure_spec {
@@ -63,22 +56,15 @@ struct figure_spec {
   /// broadcasts against the other).
   std::vector<unsigned> default_producers = {1, 2, 4};
   std::vector<unsigned> default_consumers = {1, 2, 4};
-  /// Timeline figures: telemetry cadence and the run length (0 = keep the
-  /// CLI default; fig_timeline needs a longer default so a transient
-  /// fault leaves a measurable fault-free tail).
-  unsigned default_sample_ms = 10;
+  /// The run length (0 = keep the CLI default; fig_timeline needs a
+  /// longer default so a transient fault leaves a measurable fault-free
+  /// tail).
   unsigned default_duration_ms = 0;
 };
 
-/// Parse argv over the spec's defaults and run the figure. Returns the
-/// process exit status (non-zero on CLI errors such as an unknown scheme).
+/// Parse argv against the kind's flag set over the spec's defaults and
+/// run the figure. Returns the process exit status (non-zero on CLI
+/// errors such as an unknown scheme).
 int run_figure(const figure_spec& spec, int argc, char** argv);
-
-/// Per-kind option validation (the registry's structure-kind dimension
-/// applied to the CLI): knobs from another figure family are rejected
-/// loudly, never silently ignored. Mutates `o` to resolve kind defaults
-/// (container sweep pairs, timeline/service sample cadence). Exported for
-/// drivers that run outside run_figure (bench/fig_service.cpp).
-bool validate_kind_options(const figure_spec& spec, cli_options& o);
 
 }  // namespace hyaline::harness

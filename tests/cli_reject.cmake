@@ -1,0 +1,12 @@
+# Runs BIN with ARGS (a space-separated string) and passes only if it
+# exits 2 and names NAMED on stderr.
+separate_arguments(argv UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${BIN} ${argv}
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "${BIN} ${ARGS}: exit ${rc}, want 2\n${err}")
+endif()
+string(FIND "${err}" "${NAMED}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "${BIN} ${ARGS}: stderr does not name ${NAMED}\n${err}")
+endif()
