@@ -4,7 +4,7 @@
 // useless for attribution. This bench times the four primitives the per-op
 // fast path targets, per scheme, in isolation:
 //
-//   guard    — enter+leave pair (amortized entry shows up here)
+//   guard    — enter+leave pair
 //   protect  — one protect() under a held guard (hazard publication)
 //   alloc    — node allocate+free pair through the hooked_alloc seam
 //              (the slab allocator shows up here)
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/close_checked.hpp"
 #include "harness/cli.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
@@ -68,7 +69,6 @@ bool measure(const harness::cli_options& o, std::vector<row>& rows) {
 
   scheme_params p;
   p.max_threads = 4;
-  p.entry_burst = o.fastpath ? 64 : 0;
   auto dom = scheme_traits<D>::make(p);
   using guard_t = typename D::guard;
   struct pnode : D::node {
@@ -197,7 +197,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::fputs(j.c_str(), f);
-    std::fclose(f);
+    if (!close_checked(f)) {
+      std::fprintf(stderr, "write error on '%s'\n", o.json.c_str());
+      return 2;
+    }
   }
   return 0;
 }

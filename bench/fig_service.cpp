@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/close_checked.hpp"
 #include "harness/cli.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
@@ -185,8 +186,7 @@ bool write_json(const std::string& path, const harness::cli_options& o,
     first = false;
   }
   std::fprintf(f, "\n  ]\n}\n");
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
+  const bool ok = close_checked(f);
   if (!ok) {
     std::fprintf(stderr, "--json: error writing '%s'\n", path.c_str());
   }

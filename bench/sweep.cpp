@@ -13,14 +13,14 @@
 //
 //   sweep --out BENCH_fresh.json --threads 2 --duration 60
 //
-// --fastpath off disables the per-op fast path (slab allocator and guard
-// entry amortization) so a single binary can measure its own
-// before/after on the same machine.
+// --fastpath off disables the per-op fast path (the slab allocator) so a
+// single binary can measure its own before/after on the same machine.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/close_checked.hpp"
 #include "harness/cli.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
@@ -97,12 +97,7 @@ int main(int argc, char** argv) {
   // Resolve the fast path before the first node is allocated: the slab
   // contract forbids toggling with live slab nodes, so the switch is
   // flipped exactly once, here.
-  if (o.fastpath) {
-    smr::core::slab::set_enabled(true);
-  } else {
-    smr::core::slab::set_enabled(false);
-  }
-  const std::uint32_t entry_burst = o.fastpath ? 64 : 0;
+  smr::core::slab::set_enabled(o.fastpath);
 
   const scheme_registry& reg = scheme_registry::instance();
   std::vector<out_point> points;
@@ -147,7 +142,9 @@ int main(int argc, char** argv) {
       lab::fault_plan plan;
       if (lc.faults[0] != '\0') {
         char spec[64];
-        std::snprintf(spec, sizeof spec, lc.faults, o.duration_ms / 2);
+        // Half the run, at least 1 ms: a 0 ms stall window is malformed.
+        std::snprintf(spec, sizeof spec, lc.faults,
+                      (o.duration_ms + 1) / 2);
         std::string err;
         auto parsed = lab::parse_fault_plan(spec, &err);
         if (!parsed.has_value() ||
@@ -161,7 +158,6 @@ int main(int argc, char** argv) {
 
       scheme_params p;
       p.max_threads = plan.lease_headroom(threads);
-      p.entry_burst = entry_burst;
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
 
       const workload_result r = run(p, cfg);
@@ -217,9 +213,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::fputs(j.c_str(), f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
+  if (!close_checked(f)) {
     std::fprintf(stderr, "write error on '%s'\n", o.out.c_str());
     return 2;
   }

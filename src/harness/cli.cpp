@@ -259,7 +259,7 @@ constexpr flag_row kRows[] = {
        return read_uint<std::uint64_t>(v, 1, o.iters);
      }},
     {flag::fastpath, "--fastpath", "on|off",
-     "slab allocator and amortized guard entry", "on or off",
+     "slab allocator", "on or off",
      [](const char* v, cli_options& o) {
        std::string s;
        if (!read_choice(v, "on", "off", s)) return false;

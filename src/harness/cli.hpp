@@ -191,7 +191,7 @@ struct cli_options {
   unsigned churn_ms = 0;      ///< connection-churn period; 0 = none
   std::string out;            ///< trajectory file (sweep)
   std::uint64_t iters = 0;    ///< timed iterations per primitive
-  bool fastpath = true;       ///< slab allocator + amortized guard entry
+  bool fastpath = true;       ///< slab allocator
   bool full = false;
   bool help = false;
   /// The flags this command line gave.

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/close_checked.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
 #include "lab/fault_plan.hpp"
@@ -145,8 +146,7 @@ class figure_sink {
       std::fprintf(f, "}");
     }
     std::fprintf(f, "\n  ]\n}\n");
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
+    const bool ok = close_checked(f);
     if (!ok) {
       std::fprintf(stderr, "--json: error writing '%s'\n", path.c_str());
     }

@@ -121,7 +121,6 @@ scheme_registry::entry make_entry(const char* name, entry_opts opts = {}) {
   caps.llsc_head = opts.llsc_head;
   caps.supports_trim = D::caps.supports_trim;
   caps.core_lineup = opts.core_lineup;
-  caps.burst_entry = D::caps.burst_entry;
   caps.external_baseline = opts.external_baseline;
 
   constexpr structure_kind set = structure_kind::set;

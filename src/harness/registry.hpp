@@ -45,8 +45,6 @@ struct scheme_caps {
   bool supports_trim = false;
   /// One of the nine schemes the paper's figures plot.
   bool core_lineup = false;
-  /// Guard entry amortization applies (smr::caps::burst_entry).
-  bool burst_entry = false;
   /// Externally synchronized honesty baseline (the coarse-mutex cells):
   /// not an SMR scheme at all. SMR-only sweeps and comparisons skip these
   /// entries; drivers may still run them by name to report the floor.

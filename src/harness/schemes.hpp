@@ -27,16 +27,11 @@ struct scheme_params {
   unsigned max_threads = 8;   ///< active + stalled threads (the registry
                               ///< runners add headroom for the prefilling
                               ///< thread's transparent tid lease)
-  std::size_t slots = 0;      ///< Hyaline k (0 = 2*next_pow2(threads), capped
-                              ///< at 128 like the paper's evaluation)
+  std::size_t slots = 0;      ///< Hyaline k (0 = bit_ceil(max_threads),
+                              ///< capped at 128 like the paper's evaluation)
   std::size_t max_slots = 0;  ///< Hyaline-S adaptive growth cap (0 = off)
   std::size_t batch_min = 64;
   std::int64_t ack_threshold = 8192;  ///< Hyaline-S stalled-slot detection
-  /// Amortized guard entry burst for caps.burst_entry schemes (EBR, IBR,
-  /// Hyaline slot caching). Harness default is on — the workload runners
-  /// quiesce idle/exiting threads, which the burst exit relies on. Direct
-  /// users of the raw configs get 0 (classic) unless they opt in.
-  std::uint32_t entry_burst = 64;
 };
 
 inline std::size_t default_slots(const scheme_params& p) {
@@ -70,8 +65,7 @@ struct scheme_traits<smr::ebr_domain> {
   static constexpr const char* name = "Epoch";
   static std::unique_ptr<smr::ebr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ebr_domain>(
-        smr::ebr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst});
+        smr::ebr_config{.max_threads = p.max_threads});
   }
 };
 
@@ -98,8 +92,7 @@ struct scheme_traits<smr::ibr_domain> {
   static constexpr const char* name = "IBR";
   static std::unique_ptr<smr::ibr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ibr_domain>(
-        smr::ibr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst});
+        smr::ibr_config{.max_threads = p.max_threads});
   }
 };
 
@@ -108,8 +101,7 @@ struct scheme_traits<domain> {
   static constexpr const char* name = "Hyaline";
   static std::unique_ptr<domain> make(const scheme_params& p) {
     return std::make_unique<domain>(config{.slots = default_slots(p),
-                                           .batch_min = p.batch_min,
-                                           .entry_burst = p.entry_burst});
+                                           .batch_min = p.batch_min});
   }
 };
 
@@ -118,8 +110,7 @@ struct scheme_traits<domain_dw> {
   static constexpr const char* name = "Hyaline(dwcas)";
   static std::unique_ptr<domain_dw> make(const scheme_params& p) {
     return std::make_unique<domain_dw>(config{.slots = default_slots(p),
-                                              .batch_min = p.batch_min,
-                                              .entry_burst = p.entry_burst});
+                                              .batch_min = p.batch_min});
   }
 };
 
@@ -128,9 +119,7 @@ struct scheme_traits<domain_llsc> {
   static constexpr const char* name = "Hyaline(llsc)";
   static std::unique_ptr<domain_llsc> make(const scheme_params& p) {
     return std::make_unique<domain_llsc>(
-        config{.slots = default_slots(p),
-               .batch_min = p.batch_min,
-               .entry_burst = p.entry_burst});
+        config{.slots = default_slots(p), .batch_min = p.batch_min});
   }
 };
 
@@ -141,8 +130,7 @@ struct scheme_traits<domain_s> {
     return std::make_unique<domain_s>(config{.slots = default_slots(p),
                                              .max_slots = p.max_slots,
                                              .batch_min = p.batch_min,
-                                             .ack_threshold = p.ack_threshold,
-                                             .entry_burst = p.entry_burst});
+                                             .ack_threshold = p.ack_threshold});
   }
 };
 
@@ -154,8 +142,7 @@ struct scheme_traits<domain_s_llsc> {
         config{.slots = default_slots(p),
                .max_slots = p.max_slots,
                .batch_min = p.batch_min,
-               .ack_threshold = p.ack_threshold,
-               .entry_burst = p.entry_burst});
+               .ack_threshold = p.ack_threshold});
   }
 };
 

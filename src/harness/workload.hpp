@@ -222,23 +222,6 @@ void flush_thread(D& dom) {
   }
 }
 
-template <class D>
-concept has_quiesce = requires(D d) { d.quiesce(); };
-
-/// Clear the calling thread's lingering burst-entry reservation, for
-/// schemes with amortized guard exit (EBR/IBR with entry_burst). Called
-/// wherever a thread stops taking guards — worker exit, after prefill, and
-/// after the final drain loop — so an idle reservation cannot stall epoch
-/// or era advancement for the threads still running. No-op elsewhere.
-template <class D>
-void quiesce_thread(D& dom) {
-  if constexpr (has_quiesce<D>) {
-    dom.quiesce();
-  } else {
-    (void)dom;
-  }
-}
-
 template <class G>
 concept has_trim = requires(G g) { g.trim(); };
 
@@ -364,9 +347,6 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
         ++live;
       }
     }
-    // The prefilling (main) thread takes no further guards: release any
-    // burst-entry reservation so it cannot pin the epoch for the workers.
-    detail::quiesce_thread(dom);
   }
 
   const lab::fault_plan plan = detail::effective_plan(cfg, cfg.threads);
@@ -440,7 +420,6 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
         });
     held.reset();
     detail::flush_thread(dom);
-    detail::quiesce_thread(dom);
     lat.merge(lhist);
   };
   return detail::to_result(
@@ -486,7 +465,6 @@ workload_result run_container_workload(D& dom, Q& q,
         return std::pair{true, std::uint64_t{i}};
       });
     }
-    detail::quiesce_thread(dom);  // main thread idles while workers run
   }
   enqueued.fetch_add(cfg.prefill, std::memory_order_relaxed);
 
@@ -547,7 +525,6 @@ workload_result run_container_workload(D& dom, Q& q,
     enqueued.fetch_add(local_enq, std::memory_order_relaxed);
     dequeued.fetch_add(local_deq, std::memory_order_relaxed);
     detail::flush_thread(dom);
-    detail::quiesce_thread(dom);
     lat.merge(lhist);
   };
   engine_result er = run_engine(
@@ -575,7 +552,6 @@ workload_result run_container_workload(D& dom, Q& q,
     }
   }
   detail::flush_thread(dom);
-  detail::quiesce_thread(dom);  // the drain loop above took guards
 
   workload_result r = detail::to_result(std::move(er), lat.hist);
   r.enqueued = enqueued.load(std::memory_order_relaxed);

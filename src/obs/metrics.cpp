@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/close_checked.hpp"
 #include "lab/telemetry.hpp"
 
 namespace hyaline::obs {
@@ -108,8 +109,7 @@ bool write_prometheus(const std::string& path,
                  s.scheme.c_str(), s.snap.lag_max_ns);
   }
 
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
+  const bool ok = close_checked(f);
   if (!ok && err != nullptr) *err = "error writing '" + path + "'";
   return ok;
 }

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "check/history.hpp"
+#include "common/close_checked.hpp"
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <pthread.h>
@@ -361,8 +362,7 @@ bool write_chrome_trace(const std::string& path, std::string* err) {
   }
   std::fputs("]}}\n", f);
 
-  const bool ok = std::fflush(f) == 0 && std::ferror(f) == 0;
-  std::fclose(f);
+  const bool ok = close_checked(f);
   if (!ok && err != nullptr) *err = "write failed for " + path;
   return ok;
 }

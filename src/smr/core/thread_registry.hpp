@@ -120,20 +120,6 @@ inline thread_local lease_table tls_leases;
 
 }  // namespace detail
 
-/// Visit every tid the *calling thread* has cached against `pool`,
-/// including ids currently checked out by live guards. Used by the schemes'
-/// quiesce() paths to clear lingering burst-entry reservations: iterating
-/// the cache (instead of leasing a fresh id) touches only ids this thread
-/// actually used and can never exhaust the pool.
-template <class F>
-inline void for_each_cached_tid(const std::shared_ptr<tid_pool>& pool,
-                                F&& f) {
-  const std::uint64_t pool_id = pool->id();
-  for (const detail::cached_lease& l : detail::tls_leases.leases) {
-    if (l.pool_id == pool_id) f(l.tid);
-  }
-}
-
 /// RAII checkout of the calling thread's tid for one pool. Guards hold one
 /// of these for their lifetime; nesting (two live guards, one thread, one
 /// domain) checks out a second tid.

@@ -30,19 +30,11 @@ struct ebr_config {
   unsigned max_threads = 144;
   /// Attempt a global-epoch advance every `advance_freq` retires.
   std::uint64_t advance_freq = 64;
-  /// Amortized guard entry: leave the epoch reservation published for up to
-  /// this many consecutive guards on one thread. A lingering reservation is
-  /// indistinguishable from one long-lived guard spanning the burst, so the
-  /// three-epoch safety argument is untouched; the cost is that an *idle*
-  /// thread can pin the epoch for one un-exited burst, which is why the
-  /// harness quiesces threads that stop taking guards (see workload.hpp).
-  /// 0 (the default) reproduces classic enter/leave exactly.
-  std::uint32_t entry_burst = 0;
 };
 
 class ebr_domain {
  public:
-  static constexpr smr::caps caps{.burst_entry = true};
+  static constexpr smr::caps caps{};
 
   struct node : core::reclaimable {
     node* next = nullptr;
@@ -82,38 +74,21 @@ class ebr_domain {
       // epoch of entry staleness by design, and the seq_cst reservation
       // store below is what actually orders the guard against scanners.
       const std::uint64_t e = dom_.epoch_.load(std::memory_order_acquire);
-      if (dom_.cfg_.entry_burst != 0 &&
-          r.reservation.load(std::memory_order_relaxed) == e) {
-        // Burst fast path: our reservation (published by a previous guard
-        // on this thread and never cleared) already equals the current
-        // epoch, so this guard is covered as if the previous one never
-        // left. No store, no fence.
-        return;
-      }
       // seq_cst: Dekker store-load pairing with try_advance — the
       // publication must be ordered before this thread's structure reads,
       // and before any scanner load that could miss it and advance.
       r.reservation.store(e, std::memory_order_seq_cst);
-      r.burst_left = dom_.cfg_.entry_burst;
     }
 
     ~guard() {
       obs::emit(obs::event::guard_exit, lease_.tid());
-      rec& r = dom_.recs_[lease_.tid()];
-      if (r.burst_left > 1) {
-        // Burst fast path: leave the reservation published for the next
-        // guard. Bounded by entry_burst, after which we genuinely leave so
-        // a thread that stops using the structure releases the epoch.
-        --r.burst_left;
-        return;
-      }
-      r.burst_left = 0;
       // Audit(ebr-exit-clear): release, not seq_cst (IBR's dtor already
       // did this). A scanner's seq_cst load that observes `inactive`
       // synchronizes with this store, so every critical-section read
       // happens-before any free it enables; nothing pairs with the
       // store-load direction at guard exit. Saves an XCHG per guard.
-      r.reservation.store(inactive, std::memory_order_release);
+      dom_.recs_[lease_.tid()].reservation.store(inactive,
+                                                 std::memory_order_release);
     }
 
     guard(const guard&) = delete;
@@ -135,32 +110,9 @@ class ebr_domain {
     core::tid_lease lease_;
   };
 
-  /// Burst-entry cleanup for the *calling thread*: clear any reservation
-  /// left lingering by the amortized guard exit so an idle thread cannot
-  /// block epoch advancement. Must be called with no live guard on this
-  /// thread; no-op when burst entry is off.
-  void quiesce() {
-    if (cfg_.entry_burst == 0) return;
-    core::for_each_cached_tid(recs_.pool(), [this](unsigned tid) {
-      rec& r = recs_[tid];
-      r.burst_left = 0;
-      // Audit(ebr-exit-clear): release, same argument as the guard dtor.
-      r.reservation.store(inactive, std::memory_order_release);
-    });
-  }
-
   /// Quiescent-state cleanup: with every reservation inactive, advancing
   /// the epoch twice makes every limbo node reclaimable.
   void drain() {
-    if (cfg_.entry_burst != 0) {
-      // Quiescent by contract: no guard is live anywhere, so any published
-      // reservation is a burst leftover of an idle or exited thread.
-      for (rec& r : recs_) {
-        r.burst_left = 0;
-        // Audit(ebr-exit-clear): release, same argument as the guard dtor.
-        r.reservation.store(inactive, std::memory_order_release);
-      }
-    }
     for (int i = 0; i < 3; ++i) try_advance();
     for (unsigned t = 0; t < recs_.size(); ++t) reclaim(t);
   }
@@ -186,8 +138,6 @@ class ebr_domain {
     std::atomic<std::uint64_t> reservation{inactive};
     core::limbo_queue<node> limbo;  // owner-thread private
     std::uint64_t retire_count = 0;
-    /// Guards left in the current entry burst (owner-thread only).
-    std::uint32_t burst_left = 0;
   };
 
   void retire(unsigned tid, node* n) {

@@ -78,17 +78,6 @@ struct config {
   /// Hyaline-S: Ack threshold above which a slot is presumed occupied by
   /// stalled threads and avoided by enter (§4.2 suggests e.g. 8192).
   std::int64_t ack_threshold = 8192;
-
-  /// Amortized slot choice for the transparent guard: reuse the previously
-  /// chosen slot for up to this many consecutive guards on one thread
-  /// before re-running choose_slot(). The slot choice is a pure placement
-  /// hint (any thread may use any slot, §3.2), so caching it never affects
-  /// safety; for Hyaline-S it delays the ack-threshold stall-avoidance
-  /// probe by at most one burst. Enter/leave (the FAA/CAS on the slot
-  /// head) still run per guard — they are what make retirement safe.
-  /// 0 (default) = choose on every guard. Guards constructed with an
-  /// explicit slot hint never cache.
-  std::uint32_t entry_burst = 0;
 };
 
 namespace detail {
@@ -120,8 +109,7 @@ class basic_domain {
   /// and does not.
   static constexpr smr::caps caps{.robust = Robust,
                                   .needs_clean_edges = Robust,
-                                  .supports_trim = true,
-                                  .burst_entry = true};
+                                  .supports_trim = true};
 
   /// Intrusive header every reclaimable object must derive from (three
   /// algorithm words — see file comment for the layout — plus the typed
@@ -186,22 +174,8 @@ class basic_domain {
    public:
     /// Transparent enter: the slot is picked from a per-thread hint
     /// (threads never register — the paper's transparency property).
-    /// With entry_burst set, the previous guard's slot choice is reused
-    /// for a burst, skipping choose_slot's modulo (and, for Hyaline-S,
-    /// its ack probe) on the hot path.
-    explicit guard(basic_domain& dom) : dom_(dom) {
-      builder_ = &dom_.builders_.local();
-      if (dom_.cfg_.entry_burst != 0 && builder_->slot_probe_left != 0) {
-        --builder_->slot_probe_left;
-        slot_ = builder_->slot_cache;
-      } else {
-        slot_ = dom_.choose_slot(smr::core::thread_hint());
-        builder_->slot_cache = slot_;
-        builder_->slot_probe_left = dom_.cfg_.entry_burst;
-      }
-      obs::emit(obs::event::guard_enter, slot_);
-      handle_ = dom_.enter(slot_);
-    }
+    explicit guard(basic_domain& dom)
+        : guard(dom, smr::core::thread_hint()) {}
 
     /// Explicit placement: `slot_hint` picks the slot (mod k); Hyaline
     /// supports any number of threads per slot, so a thread id, a random
@@ -312,10 +286,6 @@ class basic_domain {
     std::size_t count = 0;
     std::uint64_t min_birth = ~std::uint64_t{0};
     std::uint64_t alloc_counter = 0;
-    /// Amortized slot choice (config::entry_burst): the transparent
-    /// guard's last chosen slot and how many more guards may reuse it.
-    std::size_t slot_cache = 0;
-    std::uint32_t slot_probe_left = 0;
   };
 
   /// Constructor-time validation (API v2): malformed configs fail loudly

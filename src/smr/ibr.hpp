@@ -31,12 +31,6 @@ struct ibr_config {
   std::uint64_t era_freq = 64;
   /// Scan this thread's retired list at this size (0 = auto).
   std::size_t scan_threshold = 0;
-  /// Amortized guard entry: keep the [lo, hi] reservation published for up
-  /// to this many consecutive guards on one thread. A lingering interval
-  /// pins exactly what one long-lived guard spanning the burst would pin
-  /// (protect() still extends hi per acquisition), so robustness degrades
-  /// only by the bounded burst length. 0 (default) = classic enter/leave.
-  std::uint32_t entry_burst = 0;
 };
 
 class ibr_domain {
@@ -45,8 +39,7 @@ class ibr_domain {
   /// concurrent protect() extends it, and free a freshly-born node the
   /// reader is about to return through a frozen (already-unlinked) edge —
   /// so traversals must only cross clean edges (ds/natarajan_tree.hpp).
-  static constexpr smr::caps caps{
-      .robust = true, .needs_clean_edges = true, .burst_entry = true};
+  static constexpr smr::caps caps{.robust = true, .needs_clean_edges = true};
 
   struct node : core::reclaimable {
     node* next = nullptr;
@@ -93,14 +86,6 @@ class ibr_domain {
     explicit guard(ibr_domain& dom) : dom_(dom), lease_(dom.recs_.pool()) {
       obs::emit(obs::event::guard_enter, lease_.tid());
       rec& r = dom_.recs_[lease_.tid()];
-      if (dom_.cfg_.entry_burst != 0 &&
-          r.lo.load(std::memory_order_relaxed) != inactive) {
-        // Burst fast path: the previous guard's [lo, hi] is still
-        // published, which covers this guard exactly as one long guard
-        // would — protect() extends hi per acquisition regardless. No era
-        // load, no stores.
-        return;
-      }
       // Audit(ibr-entry-load): acquire, not seq_cst. A stale-low era only
       // widens what this reservation pins: lo lower than current pins
       // strictly more retired nodes, and hi lower is harmless because the
@@ -116,19 +101,11 @@ class ibr_domain {
       // single total order or a scanner could miss a live interval.
       r.hi.store(e, std::memory_order_seq_cst);
       r.lo.store(e, std::memory_order_seq_cst);
-      r.burst_left = dom_.cfg_.entry_burst;
     }
 
     ~guard() {
       obs::emit(obs::event::guard_exit, lease_.tid());
       rec& r = dom_.recs_[lease_.tid()];
-      if (r.burst_left > 1) {
-        // Burst fast path: keep the interval published for the next guard
-        // (bounded by entry_burst; harness threads quiesce on idle/exit).
-        --r.burst_left;
-        return;
-      }
-      r.burst_left = 0;
       // release: the scanner's seq_cst read of the cleared words
       // synchronizes with these stores, ordering this guard's reads
       // before any free they unblock (hazard-clear pattern; no
@@ -167,31 +144,7 @@ class ibr_domain {
     core::tid_lease lease_;
   };
 
-  /// Clear the calling thread's lingering burst reservation (see
-  /// ebr_domain::quiesce). Must be called with no live guard on this
-  /// thread; no-op when burst entry is off.
-  void quiesce() {
-    if (cfg_.entry_burst == 0) return;
-    core::for_each_cached_tid(recs_.pool(), [this](unsigned tid) {
-      rec& r = recs_[tid];
-      r.burst_left = 0;
-      // Audit(ibr-quiesce-clear): release, same hazard-clear argument as
-      // the guard destructor above.
-      r.lo.store(inactive, std::memory_order_release);
-      r.hi.store(0, std::memory_order_release);
-    });
-  }
-
   void drain() {
-    if (cfg_.entry_burst != 0) {
-      // Quiescent by contract: any published interval is a burst leftover.
-      for (rec& r : recs_) {
-        r.burst_left = 0;
-        // Audit(ibr-quiesce-clear): release, same argument as quiesce().
-        r.lo.store(inactive, std::memory_order_release);
-        r.hi.store(0, std::memory_order_release);
-      }
-    }
     for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
   }
 
@@ -216,8 +169,6 @@ class ibr_domain {
     std::atomic<std::uint64_t> lo{inactive};
     std::atomic<std::uint64_t> hi{0};
     core::retired_list<node> retired;  // owner-thread private
-    /// Guards left in the current entry burst (owner-thread only).
-    std::uint32_t burst_left = 0;
   };
 
   void retire(unsigned tid, node* n) {

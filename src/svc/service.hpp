@@ -125,7 +125,7 @@ service_result run_service(const harness::scheme_params& base,
     while (live < cfg.prefill) {
       if (router.put(rng.below(cfg.key_range), 1)) ++live;
     }
-    router.thread_quiesce();  // main thread idles while tenants run
+    router.flush_thread();  // main thread idles while tenants run
   }
 
   const zipf_generator zipf(cfg.key_range, cfg.zipf_theta);
@@ -223,7 +223,7 @@ service_result run_service(const harness::scheme_params& base,
         // so the director never hands a tenant burst work.
         [] {});
 
-    router.thread_quiesce();
+    router.flush_thread();
     std::lock_guard<std::mutex> lk(hist_mu);
     (scripted ? res.scripted_hist : res.victim_hist).merge(lhist);
   };

@@ -71,8 +71,6 @@ shard_totals aggregate(const std::vector<shard_snapshot>& shards);
 namespace detail {
 template <class D>
 concept has_flush = requires(D d) { d.flush(); };
-template <class D>
-concept has_quiesce = requires(D d) { d.quiesce(); };
 }  // namespace detail
 
 template <class D>
@@ -152,16 +150,13 @@ class shard_router {
     return maps_[shard]->contains(g, key);
   }
 
-  /// Release the calling thread's per-thread scheme state on every
-  /// shard: finalize partial retirement batches (Hyaline family) and
-  /// clear lingering burst-entry reservations (EBR/IBR), so an idle or
-  /// departed connection cannot stall epoch/era advancement on any
-  /// shard. Call wherever a thread stops issuing operations (tenant
-  /// exit, after the main thread's prefill).
-  void thread_quiesce() {
-    for (auto& d : doms_) {
-      if constexpr (detail::has_flush<D>) d->flush();
-      if constexpr (detail::has_quiesce<D>) d->quiesce();
+  /// Finalize the calling thread's partial retirement batch on every
+  /// shard (Hyaline family; no-op elsewhere), so nothing a departed
+  /// connection retired waits for it. Call wherever a thread stops
+  /// issuing operations (tenant exit, after the main thread's prefill).
+  void flush_thread() {
+    if constexpr (detail::has_flush<D>) {
+      for (auto& d : doms_) d->flush();
     }
   }
 

@@ -1,12 +1,13 @@
 // Unit tests for the baseline SMR schemes: Leaky, EBR, HP, HE, IBR —
 // through the v2 facade (transparent guards, RAII protection handles,
-// typed retire).
+// typed retire) — plus the idle-thread contract they share with Hyaline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "harness/schemes.hpp"
 #include "smr/domain.hpp"
 #include "smr/ebr.hpp"
 #include "smr/hazard_eras.hpp"
@@ -316,6 +317,56 @@ TYPED_TEST(BaselineChurnTest, ConcurrentChurnReclaimsEverything) {
   dom.drain();
   EXPECT_EQ(dom.counters().retired.load(std::memory_order_relaxed), std::uint64_t{kThreads} * kOps);
   EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), std::uint64_t{kThreads} * kOps);
+}
+
+// ------------------------------------------------------- idle threads --
+
+// A thread that entered and left a guard owes the domain nothing: its
+// leave withdrew every reservation it made, so the nodes another thread
+// retires afterwards are freed without any call on the idle thread's
+// behalf. The domains come from the harness factories with their default
+// parameters, exactly as the benchmarks build them.
+template <class D>
+class IdleThreadTest : public ::testing::Test {};
+
+using IdleThreadSchemes =
+    ::testing::Types<ebr_domain, ibr_domain, hyaline::domain>;
+TYPED_TEST_SUITE(IdleThreadTest, IdleThreadSchemes);
+
+TYPED_TEST(IdleThreadTest, DepartedGuardPinsNothing) {
+  using D = TypeParam;
+  struct tracked : D::node {
+    unsigned* freed = nullptr;
+    ~tracked() { ++*freed; }
+  };
+  unsigned early_freed = 0;  // outlives the domain, whose drain frees too
+  auto dom = harness::scheme_traits<D>::make(harness::scheme_params{});
+  // The main thread leases its tid first, so the helper holds another.
+  { typename D::guard g(*dom); }
+
+  // Born before the helper's guard: an interval the helper left published
+  // (IBR) would overlap every one of them.
+  constexpr unsigned kEarly = 16;
+  std::vector<tracked*> early;
+  for (unsigned i = 0; i < kEarly; ++i) {
+    auto* n = new tracked;
+    n->freed = &early_freed;
+    dom->on_alloc(n);
+    early.push_back(n);
+  }
+  std::thread([&] { typename D::guard g(*dom); }).join();
+
+  for (tracked* n : early) {
+    typename D::guard g(*dom);
+    g.retire(n);
+  }
+  // Keep retiring so the epoch or era moves on and scans run.
+  for (int i = 0; i < 1024; ++i) {
+    typename D::guard g(*dom);
+    g.retire(make_node(*dom));
+  }
+  EXPECT_EQ(early_freed, kEarly)
+      << "the departed helper's guard still pins what it never saw";
 }
 
 }  // namespace

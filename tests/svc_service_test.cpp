@@ -57,7 +57,7 @@ TEST(ShardRouter, BasicOpsAndSnapshot) {
   EXPECT_TRUE(router.del(1));
   EXPECT_FALSE(router.del(1));
   router.scan(0, 0, 16);
-  router.thread_quiesce();
+  router.flush_thread();
 
   router.shutdown();
   const auto snaps = router.snapshot();
